@@ -92,16 +92,12 @@ pub trait BitrateController: Send {
     /// Chooses the level for the chunk described by `ctx`.
     fn decide(&mut self, ctx: &ControllerContext<'_>) -> Decision;
 
-    /// Decides a whole batch of *independent* contexts (distinct sessions
-    /// stepped in lockstep), writing one [`Decision`] per context into `out`
-    /// positionally.
+    /// Decides each context in turn, writing one [`Decision`] per context
+    /// into `out` positionally: exactly `ctxs.map(|c| decide(c))`.
     ///
-    /// The contract is bit-identity: `decide_batch(ctxs)` must equal
-    /// `ctxs.map(|c| decide(c))` exactly. The default does literally that —
-    /// correct for every controller, including stateful ones, because the
-    /// per-context work is unchanged. Table-driven controllers (FastMPC)
-    /// override it with a columnar kernel that amortizes lookups across the
-    /// batch without changing any output bit.
+    /// Nothing in the workspace overrides or calls this outside tests; it
+    /// stays only because the benchmark crate (`perfbench`) forwards it, and
+    /// goes with the benchmark's next change.
     fn decide_batch(&mut self, ctxs: &[ControllerContext<'_>], out: &mut Vec<Decision>) {
         out.clear();
         out.reserve(ctxs.len());
@@ -121,10 +117,6 @@ impl<T: BitrateController + ?Sized> BitrateController for Box<T> {
 
     fn decide(&mut self, ctx: &ControllerContext<'_>) -> Decision {
         (**self).decide(ctx)
-    }
-
-    fn decide_batch(&mut self, ctxs: &[ControllerContext<'_>], out: &mut Vec<Decision>) {
-        (**self).decide_batch(ctxs, out)
     }
 
     fn reset(&mut self) {

@@ -614,52 +614,6 @@ pub fn confirm_first_with(
     (scratch.best[0], qoe)
 }
 
-/// Batch entry point for the non-tabular backends: solves one receding-
-/// horizon problem per probe, reusing a single [`HorizonScratch`] across the
-/// whole batch, and appends the first level of each plan to `out`.
-///
-/// The probe columns are parallel arrays (one element per session stepped in
-/// lockstep): chunk index, buffer level, pre-horizon level, and predicted
-/// throughput. Output is **bit-identical** to calling
-/// [`optimize_first_with`] once per probe — the solver's result never
-/// depends on leftover scratch state (see the warm-start discussion in the
-/// module docs), which is the property that makes scratch reuse free.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_first_batch(
-    scratch: &mut HorizonScratch,
-    video: &Video,
-    horizon: usize,
-    buffer_max_secs: f64,
-    weights: &QoeWeights,
-    chunk_index: &[usize],
-    buffer_secs: &[f64],
-    prev_level: &[Option<LevelIdx>],
-    throughput_kbps: &[f64],
-    out: &mut Vec<LevelIdx>,
-) {
-    let n = chunk_index.len();
-    assert!(
-        buffer_secs.len() == n && prev_level.len() == n && throughput_kbps.len() == n,
-        "batch columns must have equal lengths"
-    );
-    out.clear();
-    out.reserve(n);
-    for i in 0..n {
-        let (level, _) = optimize_first_with(
-            scratch,
-            video,
-            chunk_index[i],
-            horizon,
-            buffer_secs[i],
-            buffer_max_secs,
-            prev_level[i],
-            throughput_kbps[i],
-            weights,
-        );
-        out.push(level);
-    }
-}
-
 /// The number of horizon slots a live solve may actually plan over: `1 +`
 /// the count of future chunks that will have been released before the
 /// content the player already holds runs out (chunk `next + i` qualifies
@@ -1238,12 +1192,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_solver_matches_scalar_solves_with_shared_scratch() {
+    fn shared_scratch_solves_match_fresh_scratch_solves() {
         let v = envivio_video();
         let w = weights();
-        // A deliberately mixed batch: different chunks, buffers, previous
-        // levels, throughputs — the worst case for any state leakage through
-        // the shared scratch.
+        // A deliberately mixed run of probes: different chunks, buffers,
+        // previous levels, throughputs — the worst case for any state
+        // leakage through the shared scratch.
         let chunk_index = [0usize, 17, 63, 5, 30, 0];
         let buffer_secs = [0.0, 12.5, 4.0, 30.0, 22.0, 7.5];
         let prev_level = [
@@ -1256,34 +1210,24 @@ mod tests {
         ];
         let throughput_kbps = [150.0, 1500.0, 700.0, 9000.0, 2600.0, 450.0];
         let mut shared = HorizonScratch::new();
-        let mut batched = Vec::new();
-        optimize_first_batch(
-            &mut shared,
-            &v,
-            5,
-            30.0,
-            &w,
-            &chunk_index,
-            &buffer_secs,
-            &prev_level,
-            &throughput_kbps,
-            &mut batched,
-        );
-        assert_eq!(batched.len(), chunk_index.len());
         for i in 0..chunk_index.len() {
-            let mut fresh = HorizonScratch::new();
-            let (level, _) = optimize_first_with(
-                &mut fresh,
-                &v,
-                chunk_index[i],
-                5,
-                buffer_secs[i],
-                30.0,
-                prev_level[i],
-                throughput_kbps[i],
-                &w,
-            );
-            assert_eq!(batched[i], level, "probe {i} diverged");
+            let solve = |scratch: &mut HorizonScratch| {
+                optimize_first_with(
+                    scratch,
+                    &v,
+                    chunk_index[i],
+                    5,
+                    buffer_secs[i],
+                    30.0,
+                    prev_level[i],
+                    throughput_kbps[i],
+                    &w,
+                )
+                .0
+            };
+            let reused = solve(&mut shared);
+            let fresh = solve(&mut HorizonScratch::new());
+            assert_eq!(reused, fresh, "probe {i} diverged");
         }
     }
 

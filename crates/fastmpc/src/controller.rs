@@ -1,7 +1,7 @@
 //! The online FastMPC controller: a table lookup per decision.
 
 use crate::store::TableHandle;
-use crate::table::{DecisionBatch, FastMpcTable};
+use crate::table::FastMpcTable;
 use abr_core::{BitrateController, ControllerContext, Decision};
 use std::sync::Arc;
 
@@ -19,9 +19,6 @@ pub struct FastMpc {
     table: TableHandle,
     robust: bool,
     name: &'static str,
-    /// Columnar scratch for `decide_batch`; retained across batches so the
-    /// steady state allocates nothing.
-    batch: DecisionBatch,
 }
 
 impl FastMpc {
@@ -42,7 +39,6 @@ impl FastMpc {
             table,
             robust: false,
             name: "FastMPC",
-            batch: DecisionBatch::new(),
         }
     }
 
@@ -52,7 +48,6 @@ impl FastMpc {
             table,
             robust: true,
             name: "RobustFastMPC",
-            batch: DecisionBatch::new(),
         }
     }
 
@@ -101,45 +96,6 @@ impl BitrateController for FastMpc {
             return Decision::level(self.table.lookup_live(ctx.buffer_secs, prev, throughput, h_eff));
         }
         Decision::level(self.table.lookup(ctx.buffer_secs, prev, throughput))
-    }
-
-    fn decide_batch(&mut self, ctxs: &[ControllerContext<'_>], out: &mut Vec<Decision>) {
-        // Live contexts carry a per-session slice dimension the columnar
-        // kernel does not model; resolve them scalar (identical result,
-        // just unamortized).
-        if ctxs.iter().any(|c| c.live.is_some()) {
-            out.clear();
-            out.reserve(ctxs.len());
-            for ctx in ctxs {
-                out.push(self.decide(ctx));
-            }
-            return;
-        }
-        // Columnarize: exactly the per-context state mapping of `decide`
-        // (robust-vs-raw throughput, first-chunk fallback), then one
-        // bin-grouped table pass instead of N binary searches.
-        self.batch.clear();
-        for ctx in ctxs {
-            debug_assert_eq!(
-                self.table.config().buffer_bins.hi, ctx.buffer_max_secs,
-                "table generated for a different buffer capacity"
-            );
-            let throughput = if self.robust {
-                ctx.robust_or_prediction()
-            } else {
-                ctx.prediction_or_floor()
-            };
-            let prev = ctx
-                .prev_level
-                .unwrap_or_else(|| ctx.video.ladder().lowest());
-            self.batch.push(ctx.chunk_index, ctx.buffer_secs, prev, throughput);
-        }
-        self.table.decide_batch(&mut self.batch);
-        out.clear();
-        out.reserve(ctxs.len());
-        for i in 0..self.batch.len() {
-            out.push(Decision::level(self.batch.level(i)));
-        }
     }
 }
 

@@ -16,12 +16,6 @@
 //!    shrinks the table to tens of kilobytes);
 //! 4. online, the player does a **binary-search lookup**
 //!    ([`FastMpc`], [`Rle::get`]) — no solver, microseconds per decision.
-//!    Fleet-scale callers batch lookups instead: [`DecisionBatch`] +
-//!    [`FastMpcTable::decide_batch`] bin a whole struct-of-arrays batch of
-//!    sessions, argsort the probes, and resolve them with one forward walk
-//!    over the RLE runs ([`Rle::get_sorted_by`]) — bit-identical to N
-//!    scalar lookups, with the dispatch overhead amortized across the
-//!    batch.
 //!
 //! With the paper's parameters (100 buffer bins × 5 previous bitrates ×
 //! 100 throughput bins) the table has exactly the 50,000 rows of Figure 5.
@@ -58,5 +52,5 @@ pub use codec::CodecError;
 pub use controller::FastMpc;
 pub use rle::Rle;
 pub use store::{table_key, TableHandle, TableStore, TableStoreConfig, TableStoreStats};
-pub use table::{DecisionBatch, FastMpcTable, GenMode, TableConfig};
+pub use table::{FastMpcTable, GenMode, TableConfig};
 pub use view::TableView;

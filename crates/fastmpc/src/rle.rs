@@ -65,48 +65,6 @@ impl Rle {
         self.values[run]
     }
 
-    /// Batched random access: resolves every probe in `indices`, writing
-    /// `out[i] = get(indices[i])` positionally. `order` must be a
-    /// permutation of `0..indices.len()` that visits the probes in
-    /// ascending index order (ties in any order) — with the probes sorted,
-    /// one forward cursor over the run starts resolves the whole batch.
-    /// The cursor advances by galloping (doubling steps, then a binary
-    /// search inside the bracketed window), so a probe in the next run
-    /// over costs O(1), a probe far downstream costs O(log distance), and
-    /// the batch never degrades to the O(runs) linear walk a sparse batch
-    /// over a long table would otherwise pay.
-    ///
-    /// The result is correct for *any* permutation: a probe that steps
-    /// backwards merely falls back to a binary search to re-seat the run
-    /// cursor. Panics if any index is out of range or the slice lengths
-    /// disagree.
-    pub fn get_sorted_by(&self, indices: &[u32], order: &[u32], out: &mut [u8]) {
-        assert_eq!(indices.len(), order.len(), "order must cover every probe");
-        assert_eq!(indices.len(), out.len(), "out must cover every probe");
-        let mut run = 0usize;
-        for &pos in order {
-            let idx = indices[pos as usize];
-            assert!((idx as u64) < self.len as u64, "index {idx} out of range");
-            if self.starts[run] > idx {
-                // Out-of-order probe: re-seat the cursor the scalar way.
-                run = self.starts.partition_point(|&s| s <= idx) - 1;
-            } else {
-                // Gallop: double the step until the next start overshoots,
-                // then binary-search the bracketed window [lo, lo + step).
-                let mut lo = run;
-                let mut step = 1usize;
-                while lo + step < self.starts.len() && self.starts[lo + step] <= idx {
-                    lo += step;
-                    step <<= 1;
-                }
-                let end = (lo + step).min(self.starts.len());
-                // starts[lo] <= idx, and starts[end..] (if any) > idx.
-                run = lo + self.starts[lo..end].partition_point(|&s| s <= idx) - 1;
-            }
-            out[pos as usize] = self.values[run];
-        }
-    }
-
     /// Decoded length.
     pub fn len(&self) -> usize {
         self.len as usize
@@ -241,31 +199,6 @@ mod tests {
             let r = Rle::encode(&data);
             assert!(r.runs() <= data.len());
             assert_eq!(r.size_bytes(), r.runs() * 5);
-        });
-    }
-
-    /// The forward-walk batch accessor equals `get` probe for probe,
-    /// whether the caller's order is the required ascending one or an
-    /// arbitrary (adversarial) permutation.
-    #[test]
-    fn get_sorted_by_matches_get() {
-        check(256, |rng| {
-            let data = random_levels(rng, 1..500);
-            let indices: Vec<u32> = rng.vec(0..64, |r| r.below(data.len()) as u32);
-            let r = Rle::encode(&data);
-            let mut order: Vec<u32> = (0..indices.len() as u32).collect();
-            if rng.next_bool() {
-                // Adversarial order: descending indices force the cursor to
-                // re-seat on every step.
-                order.sort_unstable_by_key(|&i| std::cmp::Reverse(indices[i as usize]));
-            } else {
-                order.sort_unstable_by_key(|&i| indices[i as usize]);
-            }
-            let mut out = vec![0u8; indices.len()];
-            r.get_sorted_by(&indices, &order, &mut out);
-            for (i, &idx) in indices.iter().enumerate() {
-                assert_eq!(out[i], r.get(idx as usize));
-            }
         });
     }
 }

@@ -33,7 +33,7 @@
 //! bit-deterministic across [`crate::GenMode`]s, a hit returns exactly the
 //! decisions a fresh generation would produce.
 
-use crate::table::{DecisionBatch, FastMpcTable, TableConfig};
+use crate::table::{FastMpcTable, TableConfig};
 use crate::view::TableView;
 use abr_net::mmap::Mmap;
 use abr_par::OnceMap;
@@ -115,14 +115,6 @@ impl TableHandle {
             TableHandle::Mapped(v) => {
                 v.lookup_live(buffer_secs, prev, throughput_kbps, effective_horizon)
             }
-        }
-    }
-
-    /// Batched lookup; see [`FastMpcTable::decide_batch`].
-    pub fn decide_batch(&self, batch: &mut DecisionBatch) {
-        match self {
-            TableHandle::Owned(t) => t.decide_batch(batch),
-            TableHandle::Mapped(v) => v.decide_batch(batch),
         }
     }
 

@@ -87,78 +87,6 @@ impl TableConfig {
     }
 }
 
-/// A struct-of-arrays batch of decision probes for
-/// [`FastMpcTable::decide_batch`]: the live state of many sessions stepped
-/// in lockstep, one element per session in each parallel column.
-///
-/// The batch owns its columns and scratch, so a long-lived caller (the
-/// harness grid, the bulk decision endpoint) reuses one `DecisionBatch`
-/// across ticks and stays off the allocator in steady state (proven by
-/// `tests/no_alloc.rs`).
-#[derive(Debug, Clone, Default)]
-pub struct DecisionBatch {
-    /// Chunk index `k` per probe — unused by the table (the steady-state
-    /// table is chunk-independent) but carried so non-tabular batch
-    /// consumers see the same columnar view.
-    pub(crate) chunk_index: Vec<u32>,
-    /// Buffer occupancy `B_k` per probe, seconds.
-    pub(crate) buffer_secs: Vec<f64>,
-    /// Previous level `R_{k-1}` per probe.
-    pub(crate) prev_level: Vec<u8>,
-    /// Predicted throughput per probe, kbps.
-    pub(crate) throughput_kbps: Vec<f64>,
-    /// Output column: the decided level per probe.
-    pub(crate) levels: Vec<u8>,
-    /// Scratch: flattened table index per probe.
-    pub(crate) flat: Vec<u32>,
-    /// Scratch: probe visit order (ascending flat index).
-    pub(crate) order: Vec<u32>,
-}
-
-impl DecisionBatch {
-    /// An empty batch; columns grow on first fill and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears every column, retaining capacity.
-    pub fn clear(&mut self) {
-        self.chunk_index.clear();
-        self.buffer_secs.clear();
-        self.prev_level.clear();
-        self.throughput_kbps.clear();
-        self.levels.clear();
-        self.flat.clear();
-        self.order.clear();
-    }
-
-    /// Appends one probe. `prev` is the session's previous level (callers
-    /// apply their own first-chunk fallback, exactly as the scalar path
-    /// does).
-    pub fn push(&mut self, chunk_index: usize, buffer_secs: f64, prev: LevelIdx, throughput_kbps: f64) {
-        self.chunk_index.push(chunk_index as u32);
-        self.buffer_secs.push(buffer_secs);
-        self.prev_level.push(prev.get() as u8);
-        self.throughput_kbps.push(throughput_kbps);
-    }
-
-    /// Number of probes in the batch.
-    pub fn len(&self) -> usize {
-        self.buffer_secs.len()
-    }
-
-    /// True when the batch holds no probes.
-    pub fn is_empty(&self) -> bool {
-        self.buffer_secs.is_empty()
-    }
-
-    /// The decided level for probe `i` (valid after
-    /// [`FastMpcTable::decide_batch`]).
-    pub fn level(&self, i: usize) -> LevelIdx {
-        LevelIdx(self.levels[i] as usize)
-    }
-}
-
 /// The enumerated decision table: optimal bitrate level for every
 /// (buffer bin, previous level, throughput bin) scenario, stored run-length
 /// encoded.
@@ -438,45 +366,6 @@ impl FastMpcTable {
         LevelIdx(self.decisions.get(idx) as usize)
     }
 
-    /// Batched online lookup: resolves every probe in `batch`, writing the
-    /// decided levels into the batch's output column (read back via
-    /// [`DecisionBatch::level`]).
-    ///
-    /// The kernel is columnar: it bins all probes into flat table indices,
-    /// argsorts the probes by index, and resolves them with one forward
-    /// walk over the RLE runs ([`Rle::get_sorted_by`]) — so the binary
-    /// search and the run-array cache lines are amortized across the batch
-    /// instead of paid per probe. Bit-identity to [`lookup`](Self::lookup)
-    /// is structural: each probe maps to the same flat index as the scalar
-    /// path, and equal indices read equal stored values regardless of visit
-    /// order.
-    pub fn decide_batch(&self, batch: &mut DecisionBatch) {
-        let DecisionBatch {
-            buffer_secs,
-            prev_level,
-            throughput_kbps,
-            levels,
-            flat,
-            order,
-            ..
-        } = batch;
-        let n = buffer_secs.len();
-        flat.clear();
-        for i in 0..n {
-            let b = self.cfg.buffer_bins.index_of(buffer_secs[i]);
-            let p = (prev_level[i] as usize).min(self.num_levels - 1);
-            let c = self.cfg.throughput_bins.index_of(throughput_kbps[i]);
-            // Flat indices fit u32 by construction: the Rle length is u32.
-            flat.push(((b * self.num_levels + p) * self.cfg.throughput_bins.count + c) as u32);
-        }
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by_key(|&i| flat[i as usize]);
-        levels.clear();
-        levels.resize(n, 0);
-        self.decisions.get_sorted_by(flat, order, levels);
-    }
-
     /// Number of scenarios (rows) in the table.
     pub fn num_entries(&self) -> usize {
         self.decisions.len()
@@ -633,37 +522,6 @@ mod tests {
         assert_eq!(seq, ra);
     }
 
-    mod batch_differential {
-        use super::*;
-        use abr_par::check;
-        use std::sync::OnceLock;
-
-        fn shared_table() -> &'static FastMpcTable {
-            static TABLE: OnceLock<FastMpcTable> = OnceLock::new();
-            TABLE.get_or_init(small_table)
-        }
-
-        /// Random probe batches: `decide_batch` equals N scalar
-        /// `lookup`s, probe for probe.
-        #[test]
-        fn decide_batch_matches_lookup() {
-            check(64, |rng| {
-                let probes = rng.vec(0..128, |r| {
-                    (r.range(-5.0..40.0), r.below(5), r.range(50.0..20_000.0))
-                });
-                let t = shared_table();
-                let mut batch = DecisionBatch::new();
-                for &(buffer, prev, thr) in &probes {
-                    batch.push(0, buffer, LevelIdx(prev), thr);
-                }
-                t.decide_batch(&mut batch);
-                for (i, &(buffer, prev, thr)) in probes.iter().enumerate() {
-                    assert_eq!(batch.level(i), t.lookup(buffer, LevelIdx(prev), thr));
-                }
-            });
-        }
-    }
-
     #[test]
     fn live_slice_zero_is_the_vod_table() {
         // A sliced table's full-horizon slice must agree with the plain
@@ -715,55 +573,6 @@ mod tests {
                         "h_eff={h_eff} bin (b={b}, c={c})"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn decide_batch_matches_scalar_lookup_exhaustively_on_small_table() {
-        let t = small_table();
-        let cfg = t.config().clone();
-        let mut batch = DecisionBatch::new();
-        let mut expect = Vec::new();
-        // Every centroid state plus the clamping extremes, in one batch.
-        for b in 0..cfg.buffer_bins.count {
-            for p in 0..5 {
-                for c in 0..cfg.throughput_bins.count {
-                    let buffer = cfg.buffer_bins.centroid(b);
-                    let thr = cfg.throughput_bins.centroid(c);
-                    batch.push(0, buffer, LevelIdx(p), thr);
-                    expect.push(t.lookup(buffer, LevelIdx(p), thr));
-                }
-            }
-        }
-        for (buffer, prev, thr) in
-            [(-1.0, 0, 50.0), (99.0, 4, 1e6), (0.0, 4, 100.0), (30.0, 0, 10_000.0)]
-        {
-            batch.push(7, buffer, LevelIdx(prev), thr);
-            expect.push(t.lookup(buffer, LevelIdx(prev), thr));
-        }
-        t.decide_batch(&mut batch);
-        assert_eq!(batch.len(), expect.len());
-        for (i, &want) in expect.iter().enumerate() {
-            assert_eq!(batch.level(i), want, "probe {i}");
-        }
-    }
-
-    #[test]
-    fn decide_batch_reuses_a_cleared_batch() {
-        let t = small_table();
-        let mut batch = DecisionBatch::new();
-        for round in 0..3 {
-            batch.clear();
-            for i in 0..(8 + round) {
-                batch.push(i, i as f64 * 2.5, LevelIdx(i % 5), 300.0 + i as f64 * 700.0);
-            }
-            t.decide_batch(&mut batch);
-            for i in 0..batch.len() {
-                assert_eq!(
-                    batch.level(i),
-                    t.lookup(i as f64 * 2.5, LevelIdx(i % 5), 300.0 + i as f64 * 700.0)
-                );
             }
         }
     }

@@ -4,7 +4,7 @@
 //! binaries and serves them memory-mapped. Deserializing such a file back
 //! into an owned [`FastMpcTable`] would copy the whole run array — exactly
 //! the allocation the tier exists to avoid — so [`TableView`] runs
-//! `lookup`/`decide_batch` directly over the encoded bytes:
+//! `lookup`/`lookup_live` directly over the encoded bytes:
 //!
 //! * construction calls [`codec::parse`] — the *same* validator
 //!   [`FastMpcTable::from_bytes`] is built on — so a view exists only for
@@ -15,8 +15,7 @@
 //!   access goes through `u32::from_le_bytes` on a 4-byte slice — no
 //!   pointer casts, no `unsafe`, and identical behavior on any
 //!   endianness;
-//! * the lookup kernels mirror [`Rle::get`] / [`Rle::get_sorted_by`]
-//!   (binary search, then a galloping forward cursor for sorted batches)
+//! * the lookups mirror [`Rle::get`]'s binary search over the run starts
 //!   and are pinned bit-identical to the owned path by seeded property
 //!   differentials below.
 //!
@@ -24,10 +23,9 @@
 //! `abr_net::mmap::Mmap` in the warm tier ([`crate::TableHandle`]).
 //!
 //! [`Rle::get`]: crate::Rle::get
-//! [`Rle::get_sorted_by`]: crate::Rle::get_sorted_by
 
 use crate::codec::{self, CodecError};
-use crate::table::{DecisionBatch, TableConfig};
+use crate::table::TableConfig;
 use abr_video::LevelIdx;
 
 /// A decision table served directly from encoded `FMPC` bytes.
@@ -128,64 +126,6 @@ impl<B: AsRef<[u8]>> TableView<B> {
         let grid = self.cfg.buffer_bins.count * self.num_levels * self.cfg.throughput_bins.count;
         let idx = s * grid + (b * self.num_levels + p) * self.cfg.throughput_bins.count + c;
         LevelIdx(self.value_at(self.run_of(idx as u32)) as usize)
-    }
-
-    /// Batched lookup over the mapped bytes; bit-identical to
-    /// [`FastMpcTable::decide_batch`](crate::FastMpcTable::decide_batch).
-    ///
-    /// Same columnar kernel: bin every probe to a flat index, argsort, one
-    /// galloping forward cursor over the run starts (the in-place analogue
-    /// of [`Rle::get_sorted_by`](crate::Rle::get_sorted_by)).
-    pub fn decide_batch(&self, batch: &mut DecisionBatch) {
-        let DecisionBatch {
-            buffer_secs,
-            prev_level,
-            throughput_kbps,
-            levels,
-            flat,
-            order,
-            ..
-        } = batch;
-        let n = buffer_secs.len();
-        flat.clear();
-        for i in 0..n {
-            let b = self.cfg.buffer_bins.index_of(buffer_secs[i]);
-            let p = (prev_level[i] as usize).min(self.num_levels - 1);
-            let c = self.cfg.throughput_bins.index_of(throughput_kbps[i]);
-            flat.push(((b * self.num_levels + p) * self.cfg.throughput_bins.count + c) as u32);
-        }
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by_key(|&i| flat[i as usize]);
-        levels.clear();
-        levels.resize(n, 0);
-        let mut run = 0usize;
-        for &pos in order.iter() {
-            let idx = flat[pos as usize];
-            assert!(idx < self.len, "index {idx} out of range");
-            if self.start_at(run) > idx {
-                run = self.run_of(idx);
-            } else {
-                // Gallop forward, then binary-search the bracketed window.
-                let mut lo = run;
-                let mut step = 1usize;
-                while lo + step < self.runs && self.start_at(lo + step) <= idx {
-                    lo += step;
-                    step <<= 1;
-                }
-                let mut hi = (lo + step).min(self.runs);
-                while lo + 1 < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if self.start_at(mid) <= idx {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                run = lo;
-            }
-            levels[pos as usize] = self.value_at(run);
-        }
     }
 
     /// The table's configuration.
@@ -310,30 +250,6 @@ mod tests {
                     view.lookup(buffer, LevelIdx(prev), thr),
                     owned.lookup(buffer, LevelIdx(prev), thr)
                 );
-            }
-        });
-    }
-
-    /// Batch differential: the view's columnar kernel equals the owned
-    /// batch kernel and N scalar lookups, probe for probe.
-    #[test]
-    fn view_decide_batch_matches_owned() {
-        check(48, |rng| {
-            let probes = random_probes(rng, 0..128);
-            let bytes = shared_bytes();
-            let view = TableView::new(bytes.clone()).unwrap();
-            let owned = FastMpcTable::from_bytes(bytes).unwrap();
-            let mut view_batch = DecisionBatch::new();
-            let mut owned_batch = DecisionBatch::new();
-            for &(buffer, prev, thr) in &probes {
-                view_batch.push(0, buffer, LevelIdx(prev), thr);
-                owned_batch.push(0, buffer, LevelIdx(prev), thr);
-            }
-            view.decide_batch(&mut view_batch);
-            owned.decide_batch(&mut owned_batch);
-            for (i, &(buffer, prev, thr)) in probes.iter().enumerate() {
-                assert_eq!(view_batch.level(i), owned_batch.level(i));
-                assert_eq!(view_batch.level(i), owned.lookup(buffer, LevelIdx(prev), thr));
             }
         });
     }

@@ -119,9 +119,9 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "fairness",
         help: "shared-bottleneck fleets: coordinated vs uncoordinated players \
-               over faulted links, with bit-exact reference-loop and served \
-               wire-replay twins (a twin mismatch aborts the run), writing \
-               fairness.csv and fairness_cdf.csv",
+               over faulted links, with served wire-replay twins (a twin \
+               mismatch aborts the run), writing fairness.csv and \
+               fairness_cdf.csv",
         run: experiments::fairness::run,
     },
     Command {
@@ -192,14 +192,6 @@ const FLAGS: &[Flag] = &[
         help: "base seed for fault streams (default 7), independent of --seed \
                so fault schedules and predictor noise can be varied separately",
         set: |o, v| unsigned(v).map(|s| o.fault_seed = s),
-    },
-    Flag {
-        name: "--batch-size",
-        value: "N",
-        help: "grid experiments only: step N sessions in lockstep through the \
-               columnar decide_batch kernel (default 1, the scalar path; must \
-               be positive). Results are bit-identical at every size",
-        set: |o, v| positive(v).map(|n| o.batch_size = n),
     },
     Flag {
         name: "--players",
@@ -412,8 +404,6 @@ mod tests {
         ("--fault-rate", "0.1", |o| o.fault_rate == Some(0.1)),
         ("--fault-rate", "1", |o| o.fault_rate == Some(1.0)),
         ("--fault-seed", "99", |o| o.fault_seed == 99),
-        ("--batch-size", "1", |o| o.batch_size == 1),
-        ("--batch-size", "64", |o| o.batch_size == 64),
         ("--players", "1", |o| o.players == Some(1)),
         ("--bottlenecks", "1", |o| o.bottlenecks == 1),
         ("--fairness-alpha", "0", |o| o.fairness_alpha == 0.0),
@@ -436,10 +426,6 @@ mod tests {
         ("--threads", &["0", "many"]),
         ("--fault-rate", &["1.5", "-0.1", "nan"]),
         ("--fault-seed", &["x"]),
-        (
-            "--batch-size",
-            &["0", "-4", "many", "99999999999999999999999999"],
-        ),
         ("--players", &["0", "-4", "many"]),
         ("--bottlenecks", &["0", "-1"]),
         ("--fairness-alpha", &["-0.1", "inf", "nan", "fair"]),
@@ -491,7 +477,6 @@ mod tests {
         assert_eq!(opts.threads, None);
         assert_eq!(opts.fault_rate, None);
         assert_eq!(opts.fault_seed, 7);
-        assert_eq!(opts.batch_size, 1);
         assert_eq!(opts.bottlenecks, 4);
         assert_eq!(opts.fairness_alpha, 1.0);
         assert!(opts.players.is_none() && opts.latency_weight.is_none());

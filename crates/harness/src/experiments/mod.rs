@@ -43,11 +43,6 @@ pub struct ExpOptions {
     /// predictor seed so the two sources of randomness can be varied
     /// separately.
     pub fault_seed: u64,
-    /// Decision batch size for the grid experiments (`--batch-size`, must
-    /// be positive; default 1, the scalar path): they step this many
-    /// sessions in lockstep through the columnar `decide_batch` kernel.
-    /// Results are bit-identical at every size.
-    pub batch_size: usize,
     /// Players per shared bottleneck for the `fairness` experiment
     /// (`--players`, must be positive); `None` sweeps the default grid
     /// (8 and 64; 4 and 16 under `--quick`).
@@ -84,7 +79,6 @@ impl Default for ExpOptions {
             threads: None,
             fault_rate: None,
             fault_seed: 7,
-            batch_size: 1,
             players: None,
             bottlenecks: 4,
             fairness_alpha: 1.0,
@@ -97,16 +91,14 @@ impl Default for ExpOptions {
 
 impl ExpOptions {
     /// The paper's evaluation defaults plus the options that change a
-    /// grid's results: fault injection from `--fault-rate`/`--fault-seed`
-    /// and the lockstep batch size from `--batch-size`. Every experiment
-    /// builds its `EvalConfig` from this, so a run depends on its options
-    /// and nothing else.
+    /// grid's results: fault injection from `--fault-rate`/`--fault-seed`.
+    /// Every experiment builds its `EvalConfig` from this, so a run depends
+    /// on its options and nothing else.
     pub fn eval_config(&self) -> EvalConfig {
         EvalConfig {
             faults: self
                 .fault_rate
                 .map(|rate| FaultSpec::for_rate(rate, self.fault_seed)),
-            batch_size: self.batch_size,
             ..EvalConfig::paper_default()
         }
     }
@@ -125,17 +117,14 @@ mod tests {
     fn eval_config_carries_the_options_that_change_results() {
         let plain = ExpOptions::default().eval_config();
         assert!(plain.faults.is_none());
-        assert_eq!(plain.batch_size, 1);
         assert!(plain.opt_cache.is_some() && plain.table_cache.is_some());
 
         let cfg = ExpOptions {
             fault_rate: Some(0.2),
             fault_seed: 11,
-            batch_size: 8,
             ..ExpOptions::default()
         }
         .eval_config();
-        assert_eq!(cfg.batch_size, 8);
         let faults = cfg.faults.expect("--fault-rate arms the fault layer");
         assert_eq!(faults.seed, 11);
         assert_eq!(faults.config, FaultSpec::for_rate(0.2, 11).config);

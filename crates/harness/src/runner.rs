@@ -2,15 +2,12 @@
 //! against the offline optimum, and fans work across CPU cores.
 
 use crate::registry::{Algo, PredictorSpec};
-use abr_core::BitrateController;
 use abr_fastmpc::{FastMpcTable, TableConfig, TableHandle, TableStore};
 use abr_net::{
     run_emulated_session_faulted_with, run_emulated_session_with, FaultSpec, NetConfig,
 };
 use abr_offline::{OfflineConfig, OfflineResult, OptCache};
-use abr_sim::{
-    run_session_with, SessionResult, SessionScratch, SessionStepper, SimConfig, TraceDownloader,
-};
+use abr_sim::{run_session_with, SessionResult, SessionScratch, SimConfig};
 use abr_trace::Trace;
 use abr_video::{QoeWeights, Video};
 use std::sync::{Arc, OnceLock};
@@ -94,20 +91,15 @@ pub struct EvalConfig {
     /// consulted when `emulated` is set; the analytic simulator has no
     /// request/response layer to fault.
     pub faults: Option<FaultSpec>,
-    /// Decision batch size for [`evaluate_dataset`]: table-backed
-    /// algorithms on the simulated path step up to this many sessions in
-    /// lockstep per chunk, resolving each tick's decisions through the
-    /// columnar `decide_batch` kernel. `1` (or `0`) takes the scalar path
-    /// verbatim; the emulated path and non-tabular algorithms always fall
-    /// back to scalar. Results are bit-identical at every size — batching
-    /// only changes wall-clock.
+    /// Read by nothing: every grid decides one session at a time. It stays
+    /// only because the benchmark crate (`perfbench`) sets it, and goes
+    /// with the benchmark's next change.
     pub batch_size: usize,
 }
 
 impl EvalConfig {
     /// The paper's defaults: the shared OPT cache and table store attached
-    /// (hits are bit-identical to fresh solves), fault-free, scalar
-    /// decisions. `ExpOptions::eval_config` layers the command-line
+    /// (hits are bit-identical to fresh solves), fault-free. `ExpOptions::eval_config` layers the command-line
     /// options that change results on top.
     pub fn paper_default() -> Self {
         Self {
@@ -304,12 +296,6 @@ pub use abr_par::par_map;
 
 /// Evaluates `algos` over `traces`, computing the offline optimum per trace
 /// for normalization. Traces with a non-positive optimum are skipped.
-///
-/// With `cfg.batch_size > 1`, table-backed algorithms on the simulated
-/// path run in lockstep blocks through the columnar `decide_batch` kernel
-/// (see [`EvalConfig::batch_size`]); results are bit-identical to the
-/// scalar path, verified by the `batched_grid_is_bit_identical_to_scalar`
-/// test and the CI batch-equivalence gate.
 pub fn evaluate_dataset(
     algos: &[Algo],
     traces: &[Trace],
@@ -331,11 +317,6 @@ pub fn evaluate_dataset(
     // One OPT result per trace, hoisted out of the session loop so the shared
     // cache (when attached) is consulted and filled exactly once per problem.
     let opts = opt_results(traces, video, cfg);
-
-    let batch = cfg.batch_size.max(1);
-    if batch > 1 && !cfg.emulated && algos.iter().any(|a| a.needs_table()) {
-        return evaluate_dataset_batched(algos, traces, video, cfg, table.as_ref(), &opts, batch);
-    }
 
     let evals: Vec<Option<TraceEval>> = par_map(traces.len(), |t_idx| {
         let trace = &traces[t_idx];
@@ -379,145 +360,6 @@ pub fn evaluate_dataset(
         traces: evals.into_iter().flatten().collect(),
         skipped,
     }
-}
-
-/// The batched grid: each table-backed algorithm column is computed in
-/// lockstep blocks of `batch` sessions sharing one controller (one
-/// `decide_batch` call per chunk tick); every other column runs the scalar
-/// session engine per trace. Trace order, per-session seeds, and the
-/// skip rule are exactly the scalar path's, so the assembled
-/// [`EvalOutcome`] is bit-identical — only the decision dispatch differs.
-fn evaluate_dataset_batched(
-    algos: &[Algo],
-    traces: &[Trace],
-    video: &Video,
-    cfg: &EvalConfig,
-    table: Option<&TableHandle>,
-    opts: &[Arc<OfflineResult>],
-    batch: usize,
-) -> EvalOutcome {
-    // Same skip rule as the scalar path: traces with a non-positive
-    // optimum never run a session.
-    let live: Vec<usize> = (0..traces.len()).filter(|&i| opts[i].qoe > 0.0).collect();
-    let skipped = traces.len() - live.len();
-
-    // Column-major: sessions[a_idx][j] is algorithm `a_idx` on live trace
-    // `j`. Lockstep columns parallelize over blocks, scalar columns over
-    // traces; both index seeds by the trace's position in `traces`.
-    let mut columns: Vec<Vec<SessionResult>> = Vec::with_capacity(algos.len());
-    for (a_idx, algo) in algos.iter().enumerate() {
-        if algo.needs_table() {
-            let blocks = live.len().div_ceil(batch);
-            let col: Vec<Vec<SessionResult>> = par_map(blocks, |b| {
-                let idxs = &live[b * batch..((b + 1) * batch).min(live.len())];
-                run_lockstep_block(*algo, a_idx, idxs, traces, table, video, cfg)
-            });
-            columns.push(col.into_iter().flatten().collect());
-        } else {
-            columns.push(par_map(live.len(), |j| {
-                let t_idx = live[j];
-                let mut scratch = SessionScratch::new();
-                let mut out = SessionResult::default();
-                run_algo_session_with(
-                    &mut scratch,
-                    &mut out,
-                    *algo,
-                    table,
-                    algo.default_predictor(),
-                    session_seed(cfg.seed, t_idx, a_idx),
-                    &traces[t_idx],
-                    video,
-                    cfg,
-                );
-                out
-            }));
-        }
-    }
-
-    // Reassemble into the scalar path's row-major (trace, algo) layout.
-    let evals = live
-        .iter()
-        .enumerate()
-        .map(|(j, &t_idx)| TraceEval {
-            trace_idx: t_idx,
-            opt_qoe: opts[t_idx].qoe,
-            sessions: columns
-                .iter_mut()
-                .map(|col| std::mem::take(&mut col[j]))
-                .collect(),
-        })
-        .collect();
-    EvalOutcome {
-        algos: algos.to_vec(),
-        traces: evals,
-        skipped,
-    }
-}
-
-/// One lockstep block: up to `batch` sessions of one table-backed
-/// algorithm advanced chunk by chunk together, each tick's decisions
-/// resolved by a single `decide_batch` call on one shared controller. The
-/// controller is stateless across decisions (a table lookup), so sharing
-/// it is observationally identical to the scalar path's
-/// controller-per-session.
-fn run_lockstep_block(
-    algo: Algo,
-    a_idx: usize,
-    trace_idxs: &[usize],
-    traces: &[Trace],
-    table: Option<&TableHandle>,
-    video: &Video,
-    cfg: &EvalConfig,
-) -> Vec<SessionResult> {
-    let mut controller = algo.build(table, cfg.weights(), cfg.horizon);
-    controller.reset();
-    let mut scratches: Vec<SessionScratch> =
-        trace_idxs.iter().map(|_| SessionScratch::new()).collect();
-    let mut outs: Vec<SessionResult> =
-        trace_idxs.iter().map(|_| SessionResult::default()).collect();
-    {
-        let mut steppers: Vec<_> = scratches
-            .iter_mut()
-            .zip(outs.iter_mut())
-            .zip(trace_idxs.iter())
-            .map(|((scratch, out), &t_idx)| {
-                let trace = &traces[t_idx];
-                SessionStepper::start(
-                    scratch,
-                    out,
-                    algo.default_predictor()
-                        .build(session_seed(cfg.seed, t_idx, a_idx)),
-                    TraceDownloader::new(trace),
-                    trace,
-                    video,
-                    &cfg.sim,
-                )
-            })
-            .collect();
-        let mut decisions = Vec::new();
-        // All sessions share one video, so live steppers stay aligned on
-        // the same chunk index; a session only leaves the batch when it
-        // finishes (the simulated path never aborts mid-stream).
-        while steppers.iter().any(|s| !s.is_done()) {
-            let mut tick: Vec<_> = steppers.iter_mut().filter(|s| !s.is_done()).collect();
-            let ctxs: Vec<_> = tick.iter_mut().map(|s| s.context()).collect();
-            controller.decide_batch(&ctxs, &mut decisions);
-            for (s, d) in tick.iter_mut().zip(decisions.iter()) {
-                assert!(
-                    d.level.get() < video.ladder().len(),
-                    "{} chose out-of-range level {:?}",
-                    controller.name(),
-                    d.level
-                );
-                s.apply(*d);
-            }
-        }
-        let name = controller.name();
-        for s in steppers {
-            s.finish(name);
-        }
-    }
-    outs
 }
 
 #[cfg(test)]
@@ -654,44 +496,6 @@ mod tests {
         for ((a, b), c) in first.traces.iter().zip(&second.traces).zip(&plain.traces) {
             assert_eq!(a.sessions[0].qoe.qoe.to_bits(), b.sessions[0].qoe.qoe.to_bits());
             assert_eq!(a.sessions[0].qoe.qoe.to_bits(), c.sessions[0].qoe.qoe.to_bits());
-        }
-    }
-
-    #[test]
-    fn batched_grid_is_bit_identical_to_scalar() {
-        // The acceptance bar for the whole batch layer: every batch size
-        // must reproduce the scalar grid bit for bit, across a mixed
-        // algorithm set (lockstep FastMPC column + scalar columns) and a
-        // trace count that exercises a ragged final block.
-        let video = envivio_video();
-        let traces = Dataset::Fcc.generate(7, 9);
-        let scalar_cfg = quick_cfg();
-        let algos = [Algo::Rb, Algo::FastMpc, Algo::RobustMpc];
-        let scalar = evaluate_dataset(&algos, &traces, &video, &scalar_cfg);
-        for batch in [2, 4, 64] {
-            let batched_cfg = EvalConfig {
-                batch_size: batch,
-                ..quick_cfg()
-            };
-            let batched = evaluate_dataset(&algos, &traces, &video, &batched_cfg);
-            assert_eq!(scalar.skipped, batched.skipped);
-            assert_eq!(scalar.traces.len(), batched.traces.len());
-            for (x, y) in scalar.traces.iter().zip(&batched.traces) {
-                assert_eq!(x.trace_idx, y.trace_idx);
-                assert_eq!(x.opt_qoe.to_bits(), y.opt_qoe.to_bits());
-                assert_eq!(x.sessions.len(), y.sessions.len());
-                for (sx, sy) in x.sessions.iter().zip(&y.sessions) {
-                    assert_eq!(sx, sy, "batch={batch} diverged from scalar");
-                    assert_eq!(sx.qoe.qoe.to_bits(), sy.qoe.qoe.to_bits());
-                    for (rx, ry) in sx.records.iter().zip(&sy.records) {
-                        assert_eq!(rx.download_secs.to_bits(), ry.download_secs.to_bits());
-                        assert_eq!(
-                            rx.buffer_after_secs.to_bits(),
-                            ry.buffer_after_secs.to_bits()
-                        );
-                    }
-                }
-            }
         }
     }
 

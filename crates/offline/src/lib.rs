@@ -41,8 +41,8 @@
 //! vectorize) followed by a scalar *commit* pass for the scattered
 //! first-writer-wins updates. After one warm-up solve the scratch solver
 //! performs **zero heap allocations** (`tests/no_alloc.rs`) and its output
-//! is **bit-identical** to the straightforward solver preserved in
-//! [`reference`] (`tests/equivalence.rs`). [`cache::OptCache`] memoizes
+//! is **bit-identical** to the straightforward solver kept as a test
+//! oracle in `src/reference.rs`. [`cache::OptCache`] memoizes
 //! whole [`OfflineResult`]s across experiments keyed by a content hash of
 //! `(trace, video, config)`.
 
@@ -174,7 +174,7 @@ fn round_half_away(x: f64) -> f64 {
 /// flat parent slab, the live-state list and the trace scan cache — lives
 /// here and is recycled between solves, so after a warm-up solve of the
 /// largest instance the solver allocates nothing. Results are bit-identical
-/// to [`reference::optimal_qoe`] / [`reference::optimal_qoe_discrete`].
+/// to the reference solver the crate's tests keep (`src/reference.rs`).
 ///
 /// The free functions [`optimal_qoe`] / [`optimal_qoe_discrete`] wrap a
 /// thread-local scratch and clone the result out; hold an `OfflineScratch`
@@ -258,7 +258,7 @@ impl OfflineScratch {
     }
 
     /// The DP over `self.rates`. Identical arithmetic, iteration order and
-    /// tie-breaking to [`reference`]'s solver — only the storage strategy
+    /// tie-breaking to the reference solver — only the storage strategy
     /// differs — which is what makes the two bit-identical.
     fn solve(&mut self, trace: &Trace, video: &Video, cfg: &OfflineConfig) {
         let Self {
@@ -485,98 +485,6 @@ impl OfflineScratch {
     }
 }
 
-/// Exhaustive exact optimum over the discrete ladder — ground truth for
-/// validating the DP on small instances. Enumerates all `|R|^K` plans, so
-/// it refuses instances beyond ~10 million plans.
-pub fn exhaustive_optimal_discrete(
-    trace: &Trace,
-    video: &Video,
-    cfg: &OfflineConfig,
-) -> OfflineResult {
-    let n = video.ladder().len();
-    let k_total = video.num_chunks();
-    let plans = (n as f64).powi(k_total as i32);
-    assert!(
-        plans <= 1e7,
-        "instance too large for exhaustive search ({plans:.0} plans)"
-    );
-    let w = &cfg.weights;
-    let bmax = cfg.buffer_max_secs;
-    let mut best_qoe = f64::NEG_INFINITY;
-    let mut best_plan = vec![0usize; k_total];
-    let mut plan = vec![0usize; k_total];
-    loop {
-        // Score the current plan exactly.
-        let mut qoe = 0.0;
-        let mut buf = 0.0_f64;
-        let mut t = 0.0_f64;
-        let mut q_prev: Option<f64> = None;
-        for (k, &lvl) in plan.iter().enumerate() {
-            let r = video.ladder().kbps(abr_video::LevelIdx(lvl));
-            let dl = trace.time_to_download(video.chunk_size_kbits(k, abr_video::LevelIdx(lvl)), t);
-            let mut step = advance_buffer(buf, dl, video.chunk_secs(), bmax);
-            if k == 0 {
-                qoe -= w.mu_s * dl;
-                step.rebuffer_secs = 0.0;
-            }
-            let q = w.q(r);
-            qoe += w.chunk_contribution(
-                q,
-                q_prev.map_or(0.0, |p| (q - p).abs()),
-                step.rebuffer_secs,
-            );
-            q_prev = Some(q);
-            buf = step.next_buffer_secs;
-            t += dl + step.wait_secs;
-        }
-        if qoe > best_qoe {
-            best_qoe = qoe;
-            best_plan.copy_from_slice(&plan);
-        }
-        // Advance the mixed-radix counter.
-        let mut i = 0;
-        loop {
-            if i == k_total {
-                // Replay the winner for rebuffer/startup reporting.
-                let rates: Vec<f64> = best_plan
-                    .iter()
-                    .map(|&l| video.ladder().kbps(abr_video::LevelIdx(l)))
-                    .collect();
-                let mut buf = 0.0_f64;
-                let mut t = 0.0_f64;
-                let mut rebuf = 0.0;
-                let mut startup = 0.0;
-                for (k, &lvl) in best_plan.iter().enumerate() {
-                    let dl = trace.time_to_download(
-                        video.chunk_size_kbits(k, abr_video::LevelIdx(lvl)),
-                        t,
-                    );
-                    let mut step = advance_buffer(buf, dl, video.chunk_secs(), bmax);
-                    if k == 0 {
-                        startup = dl;
-                        step.rebuffer_secs = 0.0;
-                    }
-                    rebuf += step.rebuffer_secs;
-                    buf = step.next_buffer_secs;
-                    t += dl + step.wait_secs;
-                }
-                return OfflineResult {
-                    qoe: best_qoe,
-                    rates_kbps: rates,
-                    total_rebuffer_secs: rebuf,
-                    startup_secs: startup,
-                };
-            }
-            plan[i] += 1;
-            if plan[i] < n {
-                break;
-            }
-            plan[i] = 0;
-            i += 1;
-        }
-    }
-}
-
 /// Chunk size in kilobits when streaming chunk `k` at an arbitrary bitrate
 /// `r` (continuous relaxation): the CBR size `L·r` scaled by the chunk's
 /// VBR factor (ratio of its actual lowest-level size to the CBR size).
@@ -587,190 +495,8 @@ fn chunk_size_kbits(video: &Video, k: usize, r: f64) -> f64 {
     video.chunk_secs() * r * vbr_scale
 }
 
-pub mod reference {
-    //! The straightforward per-layer-allocating solver this crate originally
-    //! shipped, preserved verbatim as the differential-testing and
-    //! benchmarking baseline. The scratch solver in the crate root must stay
-    //! **bit-identical** to these functions (`tests/equivalence.rs` asserts
-    //! it over random instances); any change to the DP must land in both.
-
-    use super::{chunk_size_kbits, OfflineConfig, OfflineResult};
-    use abr_core::advance_buffer;
-    use abr_trace::Trace;
-    use abr_video::Video;
-
-    /// Continuous-relaxation optimum, baseline implementation; see
-    /// [`super::optimal_qoe`].
-    pub fn optimal_qoe(trace: &Trace, video: &Video, cfg: &OfflineConfig) -> OfflineResult {
-        let lo = video.ladder().min_kbps();
-        let hi = video.ladder().max_kbps();
-        let n = cfg.rate_grid.max(2);
-        let ratio = (hi / lo).powf(1.0 / (n as f64 - 1.0));
-        let mut rates = Vec::with_capacity(n);
-        for i in 0..n {
-            rates.push(lo * ratio.powi(i as i32));
-        }
-        *rates.last_mut().expect("n >= 2") = hi;
-        solve(trace, video, cfg, &rates)
-    }
-
-    /// Ladder-restricted optimum, baseline implementation; see
-    /// [`super::optimal_qoe_discrete`].
-    pub fn optimal_qoe_discrete(
-        trace: &Trace,
-        video: &Video,
-        cfg: &OfflineConfig,
-    ) -> OfflineResult {
-        solve(trace, video, cfg, video.ladder().levels())
-    }
-
-    fn solve(trace: &Trace, video: &Video, cfg: &OfflineConfig, rates: &[f64]) -> OfflineResult {
-        assert!(!rates.is_empty());
-        assert!(cfg.buffer_bins >= 2, "need at least two buffer bins");
-        let k_total = video.num_chunks();
-        let nb = cfg.buffer_bins;
-        let nr = rates.len();
-        let bmax = cfg.buffer_max_secs;
-        let w = &cfg.weights;
-        let bin_width = bmax / (nb - 1) as f64;
-        let bin_of = |buf: f64| -> usize { ((buf / bin_width).round() as usize).min(nb - 1) };
-
-        let idx = |b: usize, r: usize| -> usize { b * nr + r };
-        let states = nb * nr;
-        let neg = f64::NEG_INFINITY;
-
-        // Per-layer DP arrays. Bins bucket states for dominance pruning only;
-        // each surviving state keeps its exact buffer and wall-clock time so
-        // every transition is computed against the trace without rounding.
-        let mut qoe = vec![neg; states];
-        let mut buf_exact = vec![0.0_f64; states];
-        let mut time = vec![0.0_f64; states];
-        let mut parents: Vec<Vec<u32>> = Vec::with_capacity(k_total);
-
-        // Layer 0: choose the first chunk's rate. Startup rule: playback
-        // begins when chunk 0 lands — startup penalty µ_s · download, no
-        // rebuffer, buffer = L afterwards.
-        let mut parent0 = vec![u32::MAX; states];
-        for (r_i, &r) in rates.iter().enumerate() {
-            let dl = trace.time_to_download(chunk_size_kbits(video, 0, r), 0.0);
-            let b_after = video.chunk_secs().min(bmax);
-            let s = idx(bin_of(b_after), r_i);
-            let value = w.q(r) - w.mu_s * dl;
-            if value > qoe[s] {
-                qoe[s] = value;
-                buf_exact[s] = b_after;
-                time[s] = dl;
-                parent0[s] = r_i as u32; // encodes the chosen first rate
-            }
-        }
-        parents.push(parent0);
-
-        // Layers 1..K-1.
-        for k in 1..k_total {
-            let mut nqoe = vec![neg; states];
-            let mut nbuf = vec![0.0_f64; states];
-            let mut ntime = vec![0.0_f64; states];
-            let mut nparent = vec![u32::MAX; states];
-            for b in 0..nb {
-                for r_prev in 0..nr {
-                    let s = idx(b, r_prev);
-                    if qoe[s] == neg {
-                        continue;
-                    }
-                    let t0 = time[s];
-                    let buf = buf_exact[s];
-                    let q_prev = w.q(rates[r_prev]);
-                    // One pass over the trace yields the download time of
-                    // every candidate rate (sizes are ascending in the grid).
-                    let sizes: Vec<f64> = rates
-                        .iter()
-                        .map(|&r| chunk_size_kbits(video, k, r))
-                        .collect();
-                    let downloads = trace.times_to_download(&sizes, t0);
-                    for (r_i, &r) in rates.iter().enumerate() {
-                        let dl = downloads[r_i];
-                        let step = advance_buffer(buf, dl, video.chunk_secs(), bmax);
-                        let q = w.q(r);
-                        let gain =
-                            w.chunk_contribution(q, (q - q_prev).abs(), step.rebuffer_secs);
-                        let s2 = idx(bin_of(step.next_buffer_secs), r_i);
-                        let v = qoe[s] + gain;
-                        if v > nqoe[s2] {
-                            nqoe[s2] = v;
-                            nbuf[s2] = step.next_buffer_secs;
-                            ntime[s2] = t0 + dl + step.wait_secs;
-                            nparent[s2] = s as u32;
-                        }
-                    }
-                }
-            }
-            qoe = nqoe;
-            buf_exact = nbuf;
-            time = ntime;
-            parents.push(nparent);
-        }
-
-        // Best terminal state.
-        let (best_state, &best_qoe) = qoe
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN in DP"))
-            .expect("non-empty DP");
-        assert!(
-            best_qoe > neg,
-            "DP found no feasible plan (trace cannot deliver the video)"
-        );
-
-        // Reconstruct the rate path.
-        let mut rates_path = vec![0.0_f64; k_total];
-        let mut s = best_state;
-        for k in (1..k_total).rev() {
-            rates_path[k] = rates[s % nr];
-            s = parents[k][s] as usize;
-        }
-        rates_path[0] = rates[if k_total == 1 {
-            parents[0][s] as usize
-        } else {
-            s % nr
-        }];
-
-        // Replay the plan (all dynamics were exact, so this reproduces the
-        // DP value; it is how we report startup and rebuffering).
-        let mut replay_qoe = 0.0;
-        let mut buf = 0.0_f64;
-        let mut t = 0.0_f64;
-        let mut rebuf_total = 0.0;
-        let mut startup = 0.0;
-        let mut q_prev: Option<f64> = None;
-        for (k, &r) in rates_path.iter().enumerate() {
-            let dl = trace.time_to_download(chunk_size_kbits(video, k, r), t);
-            let mut step = advance_buffer(buf, dl, video.chunk_secs(), bmax);
-            if k == 0 {
-                startup = dl;
-                step.rebuffer_secs = 0.0;
-            }
-            let q = w.q(r);
-            replay_qoe +=
-                w.chunk_contribution(q, q_prev.map_or(0.0, |p| (q - p).abs()), step.rebuffer_secs);
-            rebuf_total += step.rebuffer_secs;
-            q_prev = Some(q);
-            buf = step.next_buffer_secs;
-            t += dl + step.wait_secs;
-        }
-        replay_qoe -= w.mu_s * startup;
-        debug_assert!(
-            (replay_qoe - best_qoe).abs() < 1e-6 * (1.0 + best_qoe.abs()),
-            "replay {replay_qoe} diverged from DP value {best_qoe}"
-        );
-
-        OfflineResult {
-            qoe: replay_qoe,
-            rates_kbps: rates_path,
-            total_rebuffer_secs: rebuf_total,
-            startup_secs: startup,
-        }
-    }
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -927,7 +653,7 @@ mod tests {
             buffer_bins: 601,
             ..OfflineConfig::paper_default()
         };
-        let exact = exhaustive_optimal_discrete(&trace, &video, &cfg);
+        let exact = reference::exhaustive_optimal_discrete(&trace, &video, &cfg);
         let dp = optimal_qoe_discrete(&trace, &video, &cfg);
         let rel = (exact.qoe - dp.qoe).abs() / exact.qoe.abs().max(1.0);
         assert!(rel < 0.02, "exhaustive {} vs DP {}", exact.qoe, dp.qoe);
@@ -940,7 +666,7 @@ mod tests {
     fn exhaustive_refuses_big_instances() {
         let v = envivio_video(); // 5^65 plans
         let t = Trace::constant(1000.0, 60.0).unwrap();
-        let _ = exhaustive_optimal_discrete(&t, &v, &OfflineConfig::paper_default());
+        let _ = reference::exhaustive_optimal_discrete(&t, &v, &OfflineConfig::paper_default());
     }
 
     #[test]

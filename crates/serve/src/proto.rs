@@ -348,6 +348,23 @@ impl SessionSpec {
             return Err(ProtoError::Bad("error_window must be positive".into()));
         }
         spec.predictor.validate()?;
+        // After every other check, for the same reason: the weights of
+        // Eq. (5) are penalties, and the horizon search's pruning bounds
+        // hold only while each is finite and non-negative.
+        let w = &spec.weights;
+        for (key, value) in [
+            ("lambda", w.lambda),
+            ("mu", w.mu),
+            ("mu_s", w.mu_s),
+            ("mu_event", w.mu_event),
+            ("w_lat", w.w_lat),
+        ] {
+            if !(value >= 0.0 && value.is_finite()) {
+                return Err(ProtoError::Bad(format!(
+                    "{key} must be finite and non-negative"
+                )));
+            }
+        }
         Ok(spec)
     }
 }

@@ -238,6 +238,7 @@ fn decide_error_status(e: &DecideError) -> u16 {
         DecideError::BadLevel(_) => 400,
         DecideError::MissingClock => 400,
         DecideError::BadThroughput(_) => 400,
+        DecideError::BadBuffer(_) => 400,
     }
 }
 

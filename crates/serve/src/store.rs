@@ -50,6 +50,8 @@ pub enum DecideError {
     MissingClock,
     /// The reported last-chunk throughput is not finite and positive.
     BadThroughput(f64),
+    /// The reported buffer level is negative or not finite.
+    BadBuffer(f64),
 }
 
 impl std::fmt::Display for DecideError {
@@ -64,6 +66,9 @@ impl std::fmt::Display for DecideError {
             DecideError::MissingClock => write!(f, "live session needs a `now` clock"),
             DecideError::BadThroughput(kbps) => {
                 write!(f, "throughput {kbps} kbps is not finite and positive")
+            }
+            DecideError::BadBuffer(secs) => {
+                write!(f, "buffer {secs} s is not finite and non-negative")
             }
         }
     }
@@ -212,8 +217,6 @@ impl SessionState {
             (None, _) => None,
         };
 
-        // Post-download bookkeeping of chunk k-1, exactly as
-        // run_session_core performs it before looping to chunk k.
         if let Some(last) = &req.last {
             if last.level >= self.video.ladder().len() {
                 return Err(DecideError::BadLevel(last.level));
@@ -221,6 +224,17 @@ impl SessionState {
             if !(last.throughput_kbps > 0.0 && last.throughput_kbps.is_finite()) {
                 return Err(DecideError::BadThroughput(last.throughput_kbps));
             }
+        }
+        // Checked last, so a request refused for anything else keeps its
+        // answer. The buffer model (`abr_core::advance_buffer`) is defined
+        // only for a finite, non-negative level.
+        if !(req.buffer_secs >= 0.0 && req.buffer_secs.is_finite()) {
+            return Err(DecideError::BadBuffer(req.buffer_secs));
+        }
+
+        // Post-download bookkeeping of chunk k-1, exactly as
+        // run_session_core performs it before looping to chunk k.
+        if let Some(last) = &req.last {
             if self.low_buffer_history.len() == self.low_buffer_window_chunks {
                 self.low_buffer_history.pop_front();
             }

@@ -10,19 +10,34 @@
 //! non-UTF-8 bytes in `/session`, `/decision`, `/decisions` and `/close`
 //! bodies, and the values that once ended the process or panicked the
 //! handler (predictor and error windows, EWMA weights, crowd priors,
-//! FastMPC buffer caps, reported throughputs), which come last so the
-//! answers before them never moved. The golden holds one line per request: a label and
-//! the whole response as written to the wire, escaped. To re-record after
-//! an intended change, delete `tests/golden/refusals.txt` and run this
-//! test: a missing golden is written, and the test then passes.
+//! FastMPC buffer caps, reported throughputs), then reported buffers and
+//! QoE weights that are negative or not finite. Each newer group is
+//! appended after the older ones, so their answers never moved. The golden
+//! holds one line per request: a label and the whole response as written
+//! to the wire, escaped. To re-record after an intended change, delete
+//! `tests/golden/refusals.txt` and run this test: a missing golden is
+//! written, and the test then passes.
 
-use abr_net::http::Request;
-use abr_serve::{AbrService, Backend, DecisionRequest, LastChunk, SessionSpec};
+use abr_net::http::{Request, Response};
+use abr_serve::{encode_bulk, AbrService, Backend, DecisionRequest, LastChunk, SessionSpec};
 use abr_video::{envivio_video, Ladder, LiveSchedule, VideoBuilder};
+
+fn post(svc: &AbrService, path: &str, body: &[u8]) -> Response {
+    svc.handle(&Request::post(path, body, "text/plain"))
+}
+
+/// The sid a registration's answer (escaped, as [`answer`] writes it)
+/// carries.
+fn sid_in(answer: &str) -> u64 {
+    (answer.split("sid ").nth(1))
+        .and_then(|rest| rest.split('\\').next())
+        .and_then(|sid| sid.parse().ok())
+        .expect("the registration answers with a sid")
+}
 
 /// One request's answer: `label => escaped wire bytes`.
 fn answer(svc: &AbrService, label: &str, path: &str, body: &[u8]) -> String {
-    let resp = svc.handle(&Request::post(path, body, "text/plain"));
+    let resp = post(svc, path, body);
     let mut wire = Vec::new();
     resp.write_to(&mut wire).unwrap();
     format!("{label} => {}\n", wire.escape_ascii())
@@ -260,10 +275,7 @@ fn registrations(svc: &AbrService) -> String {
 fn decisions(svc: &AbrService) -> String {
     let spec = SessionSpec::paper_default(Backend::Bb, envivio_video());
     let mut out = answer(svc, "session bb", "/session", spec.encode().as_bytes());
-    let sid: u64 = (out.split("sid ").nth(1))
-        .and_then(|rest| rest.split('\\').next())
-        .and_then(|sid| sid.parse().ok())
-        .expect("the registration answers with a sid");
+    let sid = sid_in(&out);
     let first = DecisionRequest {
         sid,
         chunk: 0,
@@ -438,10 +450,7 @@ fn hostile_values(svc: &AbrService) -> String {
     // session that then keeps deciding.
     let spec = SessionSpec::paper_default(Backend::RobustMpc, envivio_video());
     let registered = answer(svc, "session robustmpc", "/session", spec.encode().as_bytes());
-    let sid: u64 = (registered.split("sid ").nth(1))
-        .and_then(|rest| rest.split('\\').next())
-        .and_then(|sid| sid.parse().ok())
-        .expect("the registration answers with a sid");
+    let sid = sid_in(&registered);
     out += &registered;
     let first = DecisionRequest {
         sid,
@@ -471,10 +480,104 @@ fn hostile_values(svc: &AbrService) -> String {
     out
 }
 
+/// The MPC and RobustMPC sessions the buffer cases decide on, VOD and
+/// live; the live ones are not in a bottleneck group.
+fn searching_specs() -> Vec<(String, SessionSpec)> {
+    let mut specs = Vec::new();
+    for backend in [Backend::Mpc, Backend::RobustMpc] {
+        specs.push((
+            format!("{backend} vod"),
+            SessionSpec::paper_default(backend, envivio_video()),
+        ));
+        let mut live = live_spec(backend);
+        live.bottleneck = None;
+        specs.push((format!("{backend} live"), live));
+    }
+    specs
+}
+
+/// The request for chunk 0, then for chunk 1 reporting `buffer_secs`
+/// (live sessions carry a clock).
+fn chunk_requests(sid: u64, live: bool, buffer_secs: f64) -> [DecisionRequest; 2] {
+    let first = DecisionRequest {
+        sid,
+        chunk: 0,
+        buffer_secs: 0.0,
+        last: None,
+        now_secs: live.then_some(2.0),
+    };
+    let second = DecisionRequest {
+        chunk: 1,
+        buffer_secs,
+        last: Some(LastChunk {
+            level: 1,
+            throughput_kbps: 900.0,
+            download_secs: 2.0,
+        }),
+        now_secs: live.then_some(7.0),
+        ..first
+    };
+    [first, second]
+}
+
+/// A reported buffer the buffer model cannot take (negative, NaN or
+/// infinite) once panicked an MPC or RobustMPC handler in a debug build.
+/// Each is refused on `/decision` and in every `/decisions` slot, and the
+/// session then keeps deciding.
+fn bad_buffers(svc: &AbrService) -> String {
+    let mut out = String::new();
+    let bad = [-1.0, f64::NAN, f64::INFINITY];
+    for (name, spec) in searching_specs() {
+        let body = spec.encode();
+        let registered = answer(svc, &format!("session {name}"), "/session", body.as_bytes());
+        let sid = sid_in(&registered);
+        out += &registered;
+        let live = spec.live.is_some();
+        let [first, good] = chunk_requests(sid, live, 3.0);
+        let label = format!("decision {name} chunk 0");
+        out += &answer(svc, &label, "/decision", first.encode().as_bytes());
+        for buffer in bad {
+            let [_, req] = chunk_requests(sid, live, buffer);
+            let label = format!("decision {name} buffer {buffer}");
+            out += &answer(svc, &label, "/decision", req.encode().as_bytes());
+        }
+        let bulk = encode_bulk(&bad.map(|buffer| chunk_requests(sid, live, buffer)[1]));
+        let label = format!("decisions {name} buffers -1, NaN, inf");
+        out += &answer(svc, &label, "/decisions", bulk.as_bytes());
+        let label = format!("decision {name} chunk 1");
+        out += &answer(svc, &label, "/decision", good.encode().as_bytes());
+    }
+    out
+}
+
+/// QoE weights that are negative or not finite, refused for every
+/// backend (a FastMPC `lambda -1` once panicked table generation). `w_lat`
+/// is set so that every weight is in the body.
+fn bad_weights(svc: &AbrService) -> String {
+    let mut out = String::new();
+    for backend in Backend::ALL {
+        let mut spec = SessionSpec::paper_default(backend, envivio_video());
+        spec.weights.w_lat = 1.0;
+        let body = spec.encode();
+        for key in ["lambda", "mu", "mu_s", "mu_event", "w_lat"] {
+            for value in ["-1", "NaN", "inf"] {
+                let label = format!("session {backend} {key} {value:?}");
+                let body = with_value(&body, key, value);
+                out += &answer(svc, &label, "/session", body.as_bytes());
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn refusals_match_the_golden() {
     let svc = AbrService::new(4);
-    let actual = registrations(&svc) + &decisions(&svc) + &hostile_values(&svc);
+    let actual = registrations(&svc)
+        + &decisions(&svc)
+        + &hostile_values(&svc)
+        + &bad_buffers(&svc)
+        + &bad_weights(&svc);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/refusals.txt");
     let Ok(expected) = std::fs::read_to_string(&path) else {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -495,4 +598,35 @@ fn refusals_match_the_golden() {
         actual.lines().count(),
         diffs[..diffs.len().min(5)].join("\n"),
     );
+}
+
+/// A refused buffer leaves no trace on the service. In a debug build an
+/// unrefused one panicked the handler on the buffer model's assertion,
+/// which poisoned the session's shard lock, so every later request for
+/// that session, or for any other session on its shard, panicked too.
+/// One shard puts every session on the refused session's lock.
+#[test]
+fn a_refused_buffer_leaves_the_session_and_its_shard_deciding() {
+    let svc = AbrService::new(1);
+    for (name, spec) in searching_specs() {
+        let live = spec.live.is_some();
+        let register = || {
+            let resp = post(&svc, "/session", spec.encode().as_bytes());
+            assert_eq!(resp.status, 200, "{name}: registration");
+            sid_in(&resp.body.escape_ascii().to_string())
+        };
+        let (refused, neighbour) = (register(), register());
+        let decide =
+            |req: &DecisionRequest| post(&svc, "/decision", req.encode().as_bytes()).status;
+        let [first, good] = chunk_requests(refused, live, 3.0);
+        assert_eq!(decide(&first), 200, "{name}: chunk 0");
+        for buffer in [-1.0, f64::NAN, f64::INFINITY] {
+            let [_, bad] = chunk_requests(refused, live, buffer);
+            assert_eq!(decide(&bad), 400, "{name}: buffer {buffer}");
+        }
+        assert_eq!(decide(&good), 200, "{name}: chunk 1 after the refusals");
+        for req in chunk_requests(neighbour, live, 3.0) {
+            assert_eq!(decide(&req), 200, "{name}: neighbour chunk {}", req.chunk);
+        }
+    }
 }

@@ -238,10 +238,9 @@ pub fn run_session_with<P: Predictor>(
 /// player. `trace` supplies the oracle hint (the true upcoming mean
 /// throughput); `downloader` supplies per-chunk download times.
 ///
-/// This is [`SessionStepper`] driven by one controller to completion; grid
-/// drivers that interleave many sessions (the harness's lockstep batch
-/// path, the load generator's aggregating proxy) drive the stepper
-/// directly instead.
+/// This is [`SessionStepper`] driven by one controller to completion;
+/// drivers that interleave many sessions (`abr-serve`'s load generator and
+/// its golden and differential tests) drive the stepper directly instead.
 #[allow(clippy::too_many_arguments)]
 pub fn run_session_core<P: Predictor, D: ChunkDownloader + ?Sized>(
     scratch: &mut SessionScratch,
@@ -298,9 +297,9 @@ pub struct Fetch {
 /// - [`apply`](Self::apply) is `begin` + the stepper's own
 ///   [`ChunkDownloader`] + `complete`. [`run_session_core`] is this driven
 ///   by one controller (the simulator, the emulated HTTP path and the
-///   socket player); the harness's lockstep grid and the load generator's
-///   aggregating proxy call `context`/`apply` per session per chunk, which
-///   is bit-identical to running the sessions back to back.
+///   socket player); `abr-serve`'s load generator calls `context`/`apply`
+///   per session per round, which is bit-identical to running the sessions
+///   back to back.
 /// - A driver that owns time, such as `abr-net`'s shared-link engine, holds
 ///   a stepper with no downloader (`D = ()`), sets each decision's time
 ///   with [`set_clock`](Self::set_clock), fetches the chunk itself, and
@@ -1133,9 +1132,9 @@ mod tests {
     #[test]
     fn stepper_lockstep_interleaving_is_bit_identical() {
         // Sessions advanced chunk-by-chunk in lockstep through one shared
-        // controller (batched decisions per tick) must equal the same
-        // sessions run back to back — the equivalence the harness batch
-        // path and the serve-side aggregating proxy rely on.
+        // controller (one `decide` per session per tick) must equal the same
+        // sessions run back to back — the equivalence the load generator
+        // relies on.
         let v = envivio_video();
         let config = cfg();
         let traces = [
@@ -1174,17 +1173,11 @@ mod tests {
                     )
                 })
                 .collect();
-            let mut decisions = Vec::new();
             while steppers.iter().any(|s| !s.is_done()) {
-                let mut live: Vec<_> =
-                    steppers.iter_mut().filter(|s| !s.is_done()).collect();
-                let ctxs: Vec<ControllerContext> =
-                    live.iter_mut().map(|s| s.context()).collect();
-                shared.decide_batch(&ctxs, &mut decisions);
-                assert_eq!(decisions.len(), live.len());
-                for (s, d) in live.iter_mut().zip(decisions.iter()) {
+                for s in steppers.iter_mut().filter(|s| !s.is_done()) {
+                    let d = shared.decide(&s.context());
                     assert!(d.level.get() < v.ladder().len());
-                    s.apply(*d);
+                    s.apply(d);
                 }
             }
             let name = shared.name();
