@@ -10,30 +10,50 @@
 //! sizes (`|R| = 5`, `N = 5` → 3125 plans) exact enumeration is cheap. We
 //! implement depth-first branch-and-bound over a reusable scratch buffer
 //! ([`HorizonScratch`] — no heap allocation per node or per solve), warm-
-//! started with a greedy feasible plan and pruned by an admissible bound
-//! that folds the unavoidable switch penalty and the unavoidable rebuffer
-//! time into the optimistic estimate. This keeps even the `N = 9`
-//! sensitivity sweep of Figure 12b exact and fast.
+//! started with a real plan and pruned by the smaller of two admissible
+//! bounds. This keeps even the `N = 9` sensitivity sweep of Figure 12b
+//! exact and fast.
 //!
 //! The search visits levels top-down and replaces the incumbent only on
 //! strict improvement, so it always returns the *first* optimal plan in
 //! that fixed order. Warm starts are backed off by [`BOUND_SLACK`] so they
-//! sit strictly below the optimum and can never displace that plan — the
-//! solver's output is bit-identical with or without a warm start, which is
-//! what lets FastMPC's run-aware table generation (`abr-fastmpc`) reuse
-//! neighbouring solutions as hints ([`confirm_first_with`]) while promising
-//! byte-identical tables.
+//! sit strictly below the optimum and can never displace that plan, and an
+//! admissible bound never prunes it either — the solver's output is
+//! bit-identical whatever the warm start and whichever admissible bound,
+//! which is what lets FastMPC's run-aware table generation (`abr-fastmpc`)
+//! reuse neighbouring solutions as hints ([`confirm_first_with`]) while
+//! promising byte-identical tables.
+//!
+//! **Bounds.** The *switching bound* folds the unavoidable switch penalty
+//! and the unavoidable rebuffer time into the optimistic estimate; it
+//! assumes the top of the ladder is reachable at any throughput once the
+//! buffer covers the cheapest downloads. The *throughput-budget bound*
+//! caps the quality of the remaining chunks at what the predicted
+//! throughput delivers while the buffer lasts, `budget[d] + (C/L)·(B +
+//! (r−1)·L)` with `budget[d] = Σ_{j≥d} max_l (q_l − size(start+j, l)/L)`;
+//! it holds while `C/L ≤ μ`, `λ ≥ 0`, `μ_event ≥ 0` and `L ≤ B_max` (see
+//! `Below::budget`). A child is bounded in its parent's loop, so a
+//! pruned child costs no call.
+//!
+//! **Seeds.** The scratch keeps the previous solve's plan and the chunk it
+//! starts at. A solve at the same start (a FastMPC row's next cell, a
+//! startup grid point) reuses it as is, a solve one chunk later (a
+//! session's next decision) shifts it by a chunk, and the chunks it no
+//! longer covers are completed greedily. Its value, accumulated with the
+//! search's own tables, minus [`BOUND_SLACK`] seeds the incumbent; a
+//! greedy plan seeds it only when no previous plan covers the start.
 //!
 //! **Tables.** A node does no division, no chunk-size lookup and no loop
 //! over the ladder; it reads tables, with levels as indices (`n` stands for
 //! "no previous level"):
 //!
 //! - once per solve, `dl[d][l] = d_{start+d}(l) / C`, the download times,
-//!   and the rebuffer bound's floor `min_suffix_kbits[d] / C`;
+//!   the rebuffer bound's floor `min_suffix_kbits[d] / C` and the budget
+//!   bound's `budget[d]`;
 //! - once per ladder, cached in the scratch and rebuilt only when the
 //!   ladder's quality values or `λ` change: `qsw[p][l] = q_l − λ·|q_l − q_p|`
-//!   (row `n`: `q_l − λ·0`), and the quality part of the bound per chunks
-//!   remaining and previous level, so solves with a clipped or live-
+//!   (row `n`: `q_l − λ·0`), and the quality part of the switching bound per
+//!   chunks remaining and previous level, so solves with a clipped or live-
 //!   truncated horizon share it;
 //! - the last chunk of a plan is scored in its parent's loop, with no call.
 //!
@@ -41,16 +61,21 @@
 //! table entry is the very expression the node evaluated, with the same
 //! operands in the same order (a chunk scores `((q − λ·switch) − μ·r) −
 //! event`, the table holding the parenthesized head, see
-//! [`QoeWeights::charge_rebuffer`]), and the search visits the same nodes in
-//! the same order with the same `<=` prune and strict `>` update. A test
-//! keeps the node-by-node search as an oracle and compares first level,
-//! QoE bits and plan over 10,000 seeded cases.
+//! [`QoeWeights::charge_rebuffer`]), with the same `<=` prune and strict
+//! `>` update. A test keeps the node-by-node search with the switching
+//! bound and a greedy seed as an oracle and compares first level, QoE bits
+//! and plan over 10,000 seeded cases and over solves in session and
+//! same-start order.
 //!
-//! In MPC and RobustMPC sessions (`N = 5`, Envivio's five levels, 30
-//! FCC-like and 30 HSDPA-like traces) a solve visits about 110 internal
-//! nodes, and with the optimum itself as the incumbent still about 95:
-//! that is the floor a better warm start could reach, so the cost per node
-//! is what the tables attack.
+//! **Work.** In MPC and RobustMPC sessions (`N = 5`, Envivio's five
+//! levels, 30 FCC-like and 30 HSDPA-like traces, 7,800 solves) a solve
+//! checks the bound at about 60 nodes and expands about 14; with the
+//! switching bound and a greedy seed alone it was 113 and 26. The
+//! switching bound left a floor of 97 checks even with the optimum itself
+//! as the incumbent, which is why a better seed alone gained nothing; with
+//! both bounds that floor is 48, and the previous plan comes within a
+//! quarter of it. `tests::search_work_on_a_fixed_replay_stays_under_its_ceiling`
+//! pins the count on a smaller replay.
 //!
 //! **RobustMPC** (Section 4.3) maximizes worst-case QoE over a throughput
 //! interval `[Ĉ_lo, Ĉ_hi]`. By Theorem 1 the inner minimum is attained at
@@ -184,18 +209,28 @@ pub const BOUND_SLACK: f64 = 1e-6;
 /// docs). The per-solve tables are refilled in place by every solve; the
 /// per-ladder tables are rebuilt only when the ladder's quality values or
 /// `λ` change, so a scratch held across the solves of one session or one
-/// FastMPC table builds them once. After the first solve at a given
-/// horizon and ladder size, a solve allocates nothing.
+/// FastMPC table builds them once. The plan of the most recent solve stays
+/// in the scratch and seeds the next solve's incumbent (see the module
+/// docs). After the first solve at a given horizon and ladder size, a solve
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct HorizonScratch {
     best: Vec<LevelIdx>,
     current: Vec<LevelIdx>,
+    /// The chunk `best[0]` was planned for.
+    best_start: usize,
     /// `dl[d·n + l]`: seconds to download chunk `start + d` at level `l`.
     dl: Vec<f64>,
     /// `min_dl[d]`: seconds to download the cheapest encodings of chunks
     /// `start + d ..` to the end of the horizon.
     min_dl: Vec<f64>,
+    /// `budget[d]`: the buffer-free part of the throughput-budget bound for
+    /// chunks `start + d ..` (see [`Below::budget`]); `+∞` where that bound
+    /// does not hold.
+    budget: Vec<f64>,
     ladder: LadderTables,
+    #[cfg(test)]
+    work: Work,
 }
 
 impl HorizonScratch {
@@ -211,6 +246,17 @@ impl HorizonScratch {
     }
 }
 
+/// What the searches of one scratch have done, counted in test builds
+/// only: the tests pin the search's work without timing it.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct Work {
+    /// Bound checks: one per node whose subtree the search may prune.
+    checks: u64,
+    /// Nodes whose children the search enumerated.
+    expanded: u64,
+}
+
 /// The tables that depend only on the ladder's quality values and `λ`,
 /// for an `n`-level ladder. Row `p = n` stands for "no previous level".
 #[derive(Debug, Clone, Default)]
@@ -222,7 +268,7 @@ struct LadderTables {
     /// `QoeWeights::chunk_contribution` for level `l` after level `p`;
     /// row `n` is `q_l − λ·0`.
     qsw: Vec<f64>,
-    /// `bq[r·(n+1) + p]`: the quality part of [`Search::bound`] with `r`
+    /// `bq[r·(n+1) + p]`: the quality part of [`Below::switching`] with `r`
     /// chunks remaining after level `p`. Grown a row at a time, so solves
     /// with shorter (clipped or live-truncated) horizons share it.
     bq: Vec<f64>,
@@ -288,13 +334,86 @@ struct Search<'a> {
     len: usize,
     buffer_max: f64,
     chunk_secs: f64,
+    /// `C / L`: what a second of buffer is worth in the throughput-budget
+    /// bound.
+    rate: f64,
     dl: &'a [f64],
     min_dl: &'a [f64],
+    budget: &'a [f64],
     qsw: &'a [f64],
     bq: &'a [f64],
+    /// How many leading levels of `current` are the previous solve's plan,
+    /// realigned to this solve's start (see [`prepare`]).
+    seed_len: usize,
     best_qoe: f64,
     best: &'a mut [LevelIdx],
     current: &'a mut [LevelIdx],
+    #[cfg(test)]
+    work: &'a mut Work,
+}
+
+/// Admissible upper bound on the total QoE contribution of the chunks
+/// from one depth to the end of the horizon, given the buffer level and
+/// the level placed before them: the smaller of two bounds, each an
+/// over-estimate on its own. It holds what every node at that depth
+/// shares, so a node bounds its children with one lookup and a few flops.
+#[derive(Debug, Clone, Copy)]
+struct Below<'a> {
+    /// The quality part of the switching bound per previous level (the
+    /// ladder table's row for the chunks remaining).
+    quality: &'a [f64],
+    /// Seconds to download the cheapest encodings of those chunks.
+    min_dl: f64,
+    /// `(remaining − 1) · L`: playback the chunks themselves add before
+    /// the last one lands.
+    playback: f64,
+    /// The throughput-budget bound's buffer-free part.
+    budget: f64,
+    mu: f64,
+    /// `C / L`.
+    rate: f64,
+}
+
+impl Below<'_> {
+    /// The smaller of the two bounds.
+    #[inline]
+    fn bound(&self, buffer: f64, prev: usize) -> f64 {
+        self.switching(buffer, prev).min(self.budget(buffer))
+    }
+
+    /// The quality part from the ladder table (quality minus unavoidable
+    /// switching, see [`LadderTables::refresh`]) minus **unavoidable
+    /// rebuffering**: downloading even the smallest remaining chunks takes
+    /// `min_dl` seconds while the buffer supplies at most
+    /// `buffer + (remaining − 1) · L` seconds of playback before the last
+    /// chunk lands (telescoping Eqs. (1)–(4); the `B_max` cap only removes
+    /// buffer, so ignoring it keeps the bound admissible). Its arithmetic
+    /// is ordered differently from a plan's, so on an exact tie it can fall
+    /// an ulp below the plan's value; [`BOUND_SLACK`] keeps every seed far
+    /// below such a tie.
+    #[inline]
+    fn switching(&self, buffer: f64, prev: usize) -> f64 {
+        self.quality[prev] - self.mu * (self.min_dl - buffer - self.playback).max(0.0)
+    }
+
+    /// The **throughput budget**: quality is capped by what the predicted
+    /// throughput delivers while the buffer lasts, which the switching
+    /// bound never sees. The telescoping above gives
+    /// `Σ rebuffer ≥ Σ dl − x` with `x = buffer + (remaining − 1) · L`, and
+    /// `μ · max(0, y) ≥ (C/L) · y` for any `y` while `C/L ≤ μ`. Dropping
+    /// the switch and event penalties (`λ, μ_event ≥ 0`), the chunks earn
+    /// at most `Σ (q_j − (C/L) · dl_j) + (C/L) · x`, where `(C/L) · dl_j`
+    /// is chunk `j`'s size over `L`: at most `budget + (C/L) · buffer`,
+    /// with `budget` summing each chunk's best `q_l − size_l / L` plus
+    /// `(C/L) · (remaining − 1) · L`. A margin of `1e-9·|v| + 1e-6` covers
+    /// the rounding of this differently ordered arithmetic. Where the
+    /// conditions fail (or `L > B_max`), `budget` is `+∞` and so is this
+    /// bound.
+    #[inline]
+    fn budget(&self, buffer: f64) -> f64 {
+        let v = self.budget + self.rate * buffer;
+        v + (1e-9 * v.abs() + 1e-6)
+    }
 }
 
 impl<'a> Search<'a> {
@@ -312,24 +431,30 @@ impl<'a> Search<'a> {
         &qsw[prev * self.n..(prev + 1) * self.n]
     }
 
-    /// Admissible upper bound on the total QoE contribution of the chunks
-    /// below `depth`, given the buffer level and the level just placed.
-    ///
-    /// Two ingredients, each individually an over-estimate, so their sum is
-    /// too: the quality part from the ladder table (quality minus
-    /// unavoidable switching, see [`LadderTables::refresh`]) and
-    /// **unavoidable rebuffering**: downloading even the smallest remaining
-    /// chunks takes `min_dl` seconds while the buffer supplies at most
-    /// `buffer + (remaining − 1) · L` seconds of playback before the last
-    /// chunk lands (telescoping Eqs. (1)–(4); the `B_max` cap only removes
-    /// buffer, so ignoring it keeps the bound admissible).
+    /// The bounds on the chunks from `depth` on (see [`Below`]).
     #[inline]
-    fn bound(&self, depth: usize, buffer: f64, prev: usize) -> f64 {
+    fn below(&self, depth: usize) -> Below<'a> {
         let remaining = self.len - depth;
-        let quality = self.bq[remaining * (self.n + 1) + prev];
-        let rebuf_min =
-            (self.min_dl[depth] - buffer - (remaining as f64 - 1.0) * self.chunk_secs).max(0.0);
-        quality - self.weights.mu * rebuf_min
+        let bq: &'a [f64] = self.bq;
+        Below {
+            quality: &bq[remaining * (self.n + 1)..(remaining + 1) * (self.n + 1)],
+            min_dl: self.min_dl[depth],
+            playback: (remaining as f64 - 1.0) * self.chunk_secs,
+            budget: self.budget[depth],
+            mu: self.weights.mu,
+            rate: self.rate,
+        }
+    }
+
+    /// Whether a node worth `qoe` so far, whose chunks below add at most
+    /// `bound`, cannot beat the incumbent.
+    #[inline]
+    fn pruned(&mut self, qoe: f64, bound: f64) -> bool {
+        #[cfg(test)]
+        {
+            self.work.checks += 1;
+        }
+        qoe + bound <= self.best_qoe
     }
 
     /// Keeps the complete plan in `current`, worth `qoe`, if it strictly
@@ -342,16 +467,25 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Greedy one-step-lookahead descent: the QoE of a feasible plan,
-    /// accumulated with the exact same floating-point operations the DFS
-    /// would use along that path. Only the value is kept — it seeds the
-    /// incumbent so the search starts pruning from node one.
-    fn greedy_value(&self, buffer: f64, prev: usize) -> f64 {
+    /// The QoE of the plan that follows `prefix` and then, chunk by chunk,
+    /// takes the level with the largest immediate gain (the higher level
+    /// on a tie), accumulated with the exact floating-point operations the
+    /// DFS uses along that path. With an empty prefix this is the greedy
+    /// plan; with a whole plan, that plan's value.
+    fn descend(&self, prefix: &[LevelIdx], buffer: f64, prev: usize) -> f64 {
         let mut qoe = 0.0;
         let mut buf = buffer;
         let mut p = prev;
         for depth in 0..self.len {
             let (dl, qsw) = (self.dl_row(depth), self.qsw_row(p));
+            if let Some(&level) = prefix.get(depth) {
+                let li = level.get();
+                let step = advance_buffer(buf, dl[li], self.chunk_secs, self.buffer_max);
+                qoe += self.weights.charge_rebuffer(qsw[li], step.rebuffer_secs);
+                buf = step.next_buffer_secs;
+                p = li;
+                continue;
+            }
             let mut best_gain = f64::NEG_INFINITY;
             let mut best_next = buf;
             for li in (0..self.n).rev() {
@@ -369,37 +503,63 @@ impl<'a> Search<'a> {
         qoe
     }
 
-    /// Depth-first branch-and-bound below a node at `depth < len`. Iterates
-    /// levels from the top down and replaces the incumbent only on strict
-    /// improvement, so the final `best` is the first optimal plan in that
-    /// fixed enumeration order — independent of the incumbent value the
-    /// search started from (as long as it is strictly below the optimum).
-    /// The last chunk of a plan is scored here, in its parent's loop.
+    /// The value of a real plan to seed the incumbent with: the previous
+    /// solve's plan from this start on, completed greedily (see
+    /// [`prepare`]). Only the value is kept, so the search starts pruning
+    /// from node one.
+    fn seed_value(&self, buffer: f64, prev: usize) -> f64 {
+        self.descend(&self.current[..self.seed_len], buffer, prev)
+    }
+
+    /// Runs the search from the root, whose incumbent is already set.
+    fn solve(&mut self, buffer: f64, prev: usize) {
+        if !self.pruned(0.0, self.below(0).bound(buffer, prev)) {
+            self.dfs(0, buffer, prev, 0.0);
+        }
+    }
+
+    /// Depth-first branch-and-bound below a node at `depth < len` that
+    /// passed its bound check. Iterates levels from the top down and
+    /// replaces the incumbent only on strict improvement, so the final
+    /// `best` is the first optimal plan in that fixed enumeration order —
+    /// independent of the incumbent value the search started from (as long
+    /// as it is strictly below the optimum) and of the bound (as long as it
+    /// is admissible). A child is bounded, and the last chunk of a plan
+    /// scored, here in its parent's loop, so a pruned child costs no call.
     fn dfs(&mut self, depth: usize, buffer: f64, prev: usize, qoe: f64) {
-        if qoe + self.bound(depth, buffer, prev) <= self.best_qoe {
-            return;
+        #[cfg(test)]
+        {
+            self.work.expanded += 1;
         }
         let (dl, qsw) = (self.dl_row(depth), self.qsw_row(prev));
-        let leaf = depth + 1 == self.len;
+        if depth + 1 == self.len {
+            for li in (0..self.n).rev() {
+                let step = advance_buffer(buffer, dl[li], self.chunk_secs, self.buffer_max);
+                self.current[depth] = LevelIdx(li);
+                self.offer(qoe + self.weights.charge_rebuffer(qsw[li], step.rebuffer_secs));
+            }
+            return;
+        }
+        let below = self.below(depth + 1);
         for li in (0..self.n).rev() {
             let step = advance_buffer(buffer, dl[li], self.chunk_secs, self.buffer_max);
-            let gain = self.weights.charge_rebuffer(qsw[li], step.rebuffer_secs);
-            self.current[depth] = LevelIdx(li);
-            if leaf {
-                self.offer(qoe + gain);
-            } else {
-                self.dfs(depth + 1, step.next_buffer_secs, li, qoe + gain);
+            let child = qoe + self.weights.charge_rebuffer(qsw[li], step.rebuffer_secs);
+            if !self.pruned(child, below.bound(step.next_buffer_secs, li)) {
+                self.current[depth] = LevelIdx(li);
+                self.dfs(depth + 1, step.next_buffer_secs, li, child);
             }
         }
     }
 
-    /// Admissible live bound: the VOD bound minus the *minimum* latency
-    /// charge of the remaining chunks. In-plan latency never decreases (it
-    /// grows with every rebuffer and is otherwise constant), so each of the
-    /// `len − depth` remaining chunks pays at least `w_lat · lat`.
+    /// Admissible live bound on the chunks from `depth` on: the VOD bound
+    /// minus the *minimum* latency charge of those chunks. In-plan latency
+    /// never decreases (it grows with every rebuffer and is otherwise
+    /// constant), so each of the `len − depth` chunks pays at least
+    /// `w_lat · lat`. A wait for a release drains the buffer like download
+    /// time, so both VOD bounds still hold.
     #[inline]
     fn live_bound(&self, x: &LiveExtra, depth: usize, buffer: f64, prev: usize, lat: f64) -> f64 {
-        self.bound(depth, buffer, prev) - (self.len - depth) as f64 * x.w_lat * lat
+        self.below(depth).bound(buffer, prev) - (self.len - depth) as f64 * x.w_lat * lat
     }
 
     /// The live depth-first branch-and-bound. Identical enumeration order
@@ -420,8 +580,9 @@ impl<'a> Search<'a> {
         prev: usize,
         qoe: f64,
     ) {
-        if qoe + self.live_bound(x, depth, buffer, prev, lat) <= self.best_qoe {
-            return;
+        #[cfg(test)]
+        {
+            self.work.expanded += 1;
         }
         let (dl, qsw) = (self.dl_row(depth), self.qsw_row(prev));
         let wait = (x.release_in + depth as f64 * self.chunk_secs - tau).max(0.0);
@@ -431,12 +592,17 @@ impl<'a> Search<'a> {
             let step = advance_buffer(buffer, wait + dl[li], self.chunk_secs, self.buffer_max);
             let lat2 = lat + step.rebuffer_secs;
             let gain = self.weights.charge_rebuffer(qsw[li], step.rebuffer_secs) - x.w_lat * lat2;
-            self.current[depth] = LevelIdx(li);
+            let child = qoe + gain;
             if leaf {
-                self.offer(qoe + gain);
-            } else {
+                self.current[depth] = LevelIdx(li);
+                self.offer(child);
+            } else if !self.pruned(
+                child,
+                self.live_bound(x, depth + 1, step.next_buffer_secs, li, lat2),
+            ) {
+                self.current[depth] = LevelIdx(li);
                 let tau2 = tau + wait + dl[li] + step.wait_secs;
-                self.dfs_live(x, depth + 1, step.next_buffer_secs, tau2, lat2, li, qoe + gain);
+                self.dfs_live(x, depth + 1, step.next_buffer_secs, tau2, lat2, li, child);
             }
         }
     }
@@ -457,6 +623,14 @@ fn prev_row(video: &Video, prev_level: Option<LevelIdx>) -> usize {
 
 /// Validates arguments, refreshes the scratch's tables, and assembles a
 /// [`Search`] over them; its `len` is the clipped horizon.
+///
+/// The previous solve's plan is realigned to this solve's chunks: its
+/// levels from chunk `start` on, up to the clipped horizon, lead `current`
+/// ([`Search::seed_len`] of them), and [`Search::seed_value`] completes the
+/// rest greedily. That is the same plan at the same start (a FastMPC row's
+/// next cell, a startup grid point) and the plan shifted by one chunk at
+/// the next decision of a session. A plan that does not cover `start`, or
+/// leaves the ladder, leaves nothing, and the seed is the greedy plan.
 fn prepare<'a>(
     scratch: &'a mut HorizonScratch,
     video: &Video,
@@ -474,51 +648,83 @@ fn prepare<'a>(
     );
     let len = horizon.min(video.num_chunks() - start);
     let n = video.ladder().len();
+    let chunk_secs = video.chunk_secs();
     let HorizonScratch {
         best,
         current,
+        best_start,
         dl,
         min_dl,
+        budget,
         ladder,
+        #[cfg(test)]
+        work,
     } = scratch;
     ladder.refresh(video, weights, len);
+    let kept = (start.checked_sub(*best_start))
+        .and_then(|shift| best.get(shift..))
+        .filter(|kept| kept.iter().all(|l| l.get() < n))
+        .unwrap_or_default();
+    let seed_len = kept.len().min(len);
+    current.clear();
+    current.extend_from_slice(&kept[..seed_len]);
+    current.resize(len, LevelIdx(0));
     best.clear();
     best.resize(len, LevelIdx(0));
-    current.clear();
-    current.resize(len, LevelIdx(0));
+    *best_start = start;
     dl.clear();
     for k in start..start + len {
-        for li in 0..n {
-            dl.push(video.chunk_size_kbits(k, LevelIdx(li)) / throughput_kbps);
-        }
+        dl.extend(video.chunk_sizes_kbits(k).iter().map(|s| s / throughput_kbps));
     }
     // The cheapest encoding of chunks start+d .. start+len-1, summed from
     // the end: the floor on future download work in the rebuffer bound.
+    // Sizes never fall with the level, so level 0 is a chunk's cheapest.
     min_dl.clear();
     min_dl.resize(len, 0.0);
     let mut acc = 0.0;
     for d in (0..len).rev() {
-        let k = start + d;
-        let mut min_size = f64::INFINITY;
-        for li in 0..n {
-            min_size = min_size.min(video.chunk_size_kbits(k, LevelIdx(li)));
-        }
-        acc += min_size;
+        acc += video.chunk_size_kbits(start + d, LevelIdx(0));
         min_dl[d] = acc / throughput_kbps;
+    }
+    // The throughput-budget bound's buffer-free part, summed from the end
+    // (see `Below::budget` for the conditions it needs).
+    let rate = throughput_kbps / chunk_secs;
+    budget.clear();
+    budget.resize(len, f64::INFINITY);
+    if rate <= weights.mu
+        && weights.lambda >= 0.0
+        && weights.mu_event >= 0.0
+        && chunk_secs <= buffer_max_secs
+    {
+        let mut acc = 0.0;
+        for d in (0..len).rev() {
+            let row = &dl[d * n..(d + 1) * n];
+            let mut best_chunk = f64::NEG_INFINITY;
+            for (&q, &t) in ladder.level_q.iter().zip(row) {
+                best_chunk = best_chunk.max(q - rate * t);
+            }
+            acc += best_chunk;
+            budget[d] = acc + throughput_kbps * (len - d - 1) as f64;
+        }
     }
     Search {
         weights,
         n,
         len,
         buffer_max: buffer_max_secs,
-        chunk_secs: video.chunk_secs(),
+        chunk_secs,
+        rate,
         dl,
         min_dl,
+        budget,
         qsw: &ladder.qsw,
         bq: &ladder.bq,
+        seed_len,
         best_qoe: f64::NEG_INFINITY,
         best,
         current,
+        #[cfg(test)]
+        work,
     }
 }
 
@@ -551,17 +757,17 @@ pub fn optimize_first_with(
         throughput_kbps,
         weights,
     );
-    // Warm-start from a greedy feasible plan, backed off below the optimum.
-    s.best_qoe = s.greedy_value(buffer_secs, prev) - BOUND_SLACK;
-    s.dfs(0, buffer_secs, prev, 0.0);
+    // Warm-start from a real plan, backed off below the optimum.
+    s.best_qoe = s.seed_value(buffer_secs, prev) - BOUND_SLACK;
+    s.solve(buffer_secs, prev);
     let qoe = s.best_qoe;
     (scratch.best[0], qoe)
 }
 
 /// Hint-seeded variant of [`optimize_first_with`]: warm-starts the search
 /// from `hint` — any feasible plan of the clipped horizon's length, e.g.
-/// the optimum of a neighbouring FastMPC scenario — and from the greedy
-/// plan, whichever scores higher.
+/// the optimum of a neighbouring FastMPC scenario — and from the plan
+/// [`optimize_first_with`] seeds with, whichever scores higher.
 ///
 /// Output is **bit-identical** to the unhinted solve regardless of hint
 /// quality: the incumbent seed is a real plan's value backed off by
@@ -582,16 +788,6 @@ pub fn confirm_first_with(
     weights: &QoeWeights,
     hint: &[LevelIdx],
 ) -> (LevelIdx, f64) {
-    let v_hint = plan_qoe(
-        video,
-        start,
-        hint,
-        buffer_secs,
-        buffer_max_secs,
-        prev_level,
-        throughput_kbps,
-        weights,
-    );
     let prev = prev_row(video, prev_level);
     let mut s = prepare(
         scratch,
@@ -607,9 +803,9 @@ pub fn confirm_first_with(
         s.len,
         "hint length must equal the clipped horizon"
     );
-    let v_greedy = s.greedy_value(buffer_secs, prev);
-    s.best_qoe = v_hint.max(v_greedy) - BOUND_SLACK;
-    s.dfs(0, buffer_secs, prev, 0.0);
+    let v_hint = s.descend(hint, buffer_secs, prev);
+    s.best_qoe = v_hint.max(s.seed_value(buffer_secs, prev)) - BOUND_SLACK;
+    s.solve(buffer_secs, prev);
     let qoe = s.best_qoe;
     (scratch.best[0], qoe)
 }
@@ -692,7 +888,9 @@ pub fn optimize_first_live(
         release_in: live.release_in_secs,
         w_lat: weights.w_lat,
     };
-    s.dfs_live(&x, 0, buffer_secs, 0.0, live.latency_secs, prev, 0.0);
+    if !s.pruned(0.0, s.live_bound(&x, 0, buffer_secs, prev, live.latency_secs)) {
+        s.dfs_live(&x, 0, buffer_secs, 0.0, live.latency_secs, prev, 0.0);
+    }
     let qoe = s.best_qoe;
     (scratch.best[0], qoe)
 }
@@ -1513,6 +1711,71 @@ mod tests {
             let hi = optimize_horizon(&v, 0, 5, b + extra, 30.0, None, c, &w);
             assert!(hi.qoe >= lo.qoe - 1e-9);
         });
+    }
+
+    /// The solves of one MPC and one RobustMPC session per trace (four
+    /// FCC-like and four HSDPA-like, seed 1, Envivio), each on its own
+    /// scratch in session order, driven the way the simulator drives them:
+    /// a 5-sample harmonic-mean forecast (RobustMPC divides it by one plus
+    /// the largest of the last 5 relative errors), downloads timed on the
+    /// trace, the buffer advanced by the model. Returns the solve count and
+    /// the search's work over all of them.
+    fn replay_work() -> (u64, Work) {
+        use abr_trace::Dataset;
+        let video = envivio_video();
+        let w = weights();
+        let l = video.chunk_secs();
+        let mut traces = Dataset::Fcc.generate(1, 4);
+        traces.extend(Dataset::Hsdpa.generate(1, 4));
+        let (mut solves, mut work) = (0, Work::default());
+        for trace in &traces {
+            for robust in [false, true] {
+                let mut scratch = HorizonScratch::new();
+                let (mut buffer, mut t, mut prev) = (0.0, 0.0, None);
+                let (mut tputs, mut errors) = (Vec::new(), Vec::new());
+                for k in 0..video.num_chunks() {
+                    let recent = &tputs[tputs.len().saturating_sub(5)..];
+                    let forecast = match recent.len() {
+                        0 => video.ladder().min_kbps(),
+                        m => m as f64 / recent.iter().map(|c| 1.0 / c).sum::<f64>(),
+                    };
+                    let worst = errors[errors.len().saturating_sub(5)..]
+                        .iter()
+                        .fold(0.0f64, |a, &e| a.max(e));
+                    let c = if robust { forecast / (1.0 + worst) } else { forecast };
+                    let (level, _) =
+                        optimize_first_with(&mut scratch, &video, k, 5, buffer, 30.0, prev, c, &w);
+                    solves += 1;
+                    let size = video.chunk_size_kbits(k, level);
+                    let dl = trace.time_to_download(size, t);
+                    let step = advance_buffer(buffer, dl, l, 30.0);
+                    t += dl + step.wait_secs;
+                    buffer = step.next_buffer_secs;
+                    let actual = size / dl;
+                    errors.push((forecast - actual).abs() / actual);
+                    tputs.push(actual);
+                    prev = Some(level);
+                }
+                work.checks += scratch.work.checks;
+                work.expanded += scratch.work.expanded;
+            }
+        }
+        (solves, work)
+    }
+
+    /// The search's work on [`replay_work`]'s fixed replay, pinned by
+    /// count rather than by time, so a loosened bound or a lost seed fails
+    /// here. With the switching bound alone and a greedy seed the same
+    /// replay took 117.7 bound checks and 27.5 expanded nodes per solve;
+    /// with the throughput-budget bound but a greedy seed, 70.3 and 16.7.
+    #[test]
+    fn search_work_on_a_fixed_replay_stays_under_its_ceiling() {
+        let (solves, work) = replay_work();
+        let checks = work.checks as f64 / solves as f64;
+        let expanded = work.expanded as f64 / solves as f64;
+        eprintln!("{solves} solves: {checks:.1} bound checks, {expanded:.1} expanded per solve");
+        assert!(checks <= 65.0, "{checks:.1} bound checks per solve");
+        assert!(expanded <= 15.5, "{expanded:.1} expanded nodes per solve");
     }
 
     /// Exchange-argument theorem: raising the rebuffer weight µ can only

@@ -507,4 +507,203 @@ mod tests {
             same(&format!("{what}, live {live:?}"), got, table.plan(), want, &old.best);
         }
     }
+
+    /// A VBR video of 40 four-second chunks on an `n`-level ladder from
+    /// 200 to 8000 kbps.
+    fn ladder_video(n: usize) -> Video {
+        let wobble = |k: usize| 1.0 + 0.4 * ((k * 7919 % 13) as f64 / 13.0 - 0.5);
+        let ladder = Ladder::geometric(200.0, 8000.0, n).unwrap();
+        VideoBuilder::new(ladder)
+            .chunks(40)
+            .chunk_secs(4.0)
+            .vbr(wobble)
+    }
+
+    /// Solves in the orders that reuse the previous plan, each search on
+    /// one scratch across every solve: a session's decisions (start,
+    /// start + 1, … to the end, with a drifting throughput and the buffer
+    /// the chosen levels leave), then a FastMPC row's cells at one start
+    /// (throughput up a grid, cold and hinted with the previous cell's
+    /// plan, as the run-aware generator asks) and a startup grid (buffer up
+    /// a grid). First level, QoE bits and plan must match the reference.
+    #[test]
+    fn seeded_solves_match_the_reference_in_session_and_same_start_order() {
+        let mut rng = SplitMix64::new(0x5E55_1015);
+        for n in [3, 5, 10, 18] {
+            let video = ladder_video(n);
+            let chunks = video.num_chunks();
+            for run in 0..6 {
+                let w = weights(&mut rng);
+                let horizon = [5, 5, 3, 7][run % 4].min(if n > 10 { 5 } else { 9 });
+                let b_max = [20.0, 30.0][rng.below(2)];
+                let mut table = mpc::HorizonScratch::new();
+                let mut old = HorizonScratch::default();
+                let what = |order: &str, k: usize, buffer: f64, c: f64, prev: Option<LevelIdx>| {
+                    format!(
+                        "{n} levels, run {run}, {order} at chunk {k}: horizon {horizon}, \
+                         buffer {buffer}/{b_max}, {c} kbps, prev {prev:?}, {w:?}"
+                    )
+                };
+                let mut c = 100.0 * 100f64.powf(rng.next_f64());
+                let mut buffer = b_max * rng.next_f64();
+                let mut prev = None;
+                for k in rng.below(chunks / 2)..chunks {
+                    let args = (&video, k, horizon, buffer, b_max, prev, c);
+                    let got = mpc::optimize_first_with(
+                        &mut table, args.0, args.1, args.2, args.3, args.4, args.5, args.6, &w,
+                    );
+                    let want = optimize_first_with(
+                        &mut old, args.0, args.1, args.2, args.3, args.4, args.5, args.6, &w,
+                    );
+                    let label = what("session", k, buffer, c, prev);
+                    same(&label, got, table.plan(), want, &old.best);
+                    // The chunk downloads at a throughput near the forecast,
+                    // and the forecast drifts.
+                    let actual = c * (0.5 + rng.next_f64());
+                    let dl = video.chunk_size_kbits(k, got.0) / actual;
+                    buffer = advance_buffer(buffer, dl, video.chunk_secs(), b_max).next_buffer_secs;
+                    c = (c * (0.7 + 0.6 * rng.next_f64())).clamp(50.0, 20_000.0);
+                    prev = Some(got.0);
+                }
+                let start = rng.below(chunks);
+                let prev = Some(rng.below(n + 1)).filter(|&p| p < n).map(LevelIdx);
+                let buffer = b_max * rng.next_f64();
+                let mut hint: Option<Vec<LevelIdx>> = None;
+                for cell in 0..30 {
+                    let c = 100.0 * 100f64.powf(cell as f64 / 29.0);
+                    let args = (&video, start, horizon, buffer, b_max, prev, c);
+                    let (got, want) = match &hint {
+                        Some(h) if cell % 2 == 1 => (
+                            mpc::confirm_first_with(
+                                &mut table, args.0, args.1, args.2, args.3, args.4, args.5, args.6,
+                                &w, h,
+                            ),
+                            confirm_first_with(
+                                &mut old, args.0, args.1, args.2, args.3, args.4, args.5, args.6,
+                                &w, h,
+                            ),
+                        ),
+                        _ => (
+                            mpc::optimize_first_with(
+                                &mut table, args.0, args.1, args.2, args.3, args.4, args.5, args.6,
+                                &w,
+                            ),
+                            optimize_first_with(
+                                &mut old, args.0, args.1, args.2, args.3, args.4, args.5, args.6,
+                                &w,
+                            ),
+                        ),
+                    };
+                    let label = what("row", start, buffer, c, prev);
+                    same(&label, got, table.plan(), want, &old.best);
+                    hint = Some(table.plan().to_vec());
+                }
+                let c = 100.0 * 100f64.powf(rng.next_f64());
+                for step in 0..=20 {
+                    let buffer = b_max * step as f64 / 20.0;
+                    let args = (&video, start, horizon, buffer, b_max, prev, c);
+                    let got = mpc::optimize_first_with(
+                        &mut table, args.0, args.1, args.2, args.3, args.4, args.5, args.6, &w,
+                    );
+                    let want = optimize_first_with(
+                        &mut old, args.0, args.1, args.2, args.3, args.4, args.5, args.6, &w,
+                    );
+                    let label = what("startup grid", start, buffer, c, prev);
+                    same(&label, got, table.plan(), want, &old.best);
+                }
+            }
+        }
+    }
+
+    /// At the root both of the search's bounds are at least the reference
+    /// optimum, over random states and weights with every quality map. The
+    /// throughput-budget bound carries a rounding margin and must hold
+    /// exactly; the switching bound may fall an ulp or two below an exact
+    /// tie (see `Below::switching`). A quarter of the cases or more
+    /// must be decided by the throughput-budget bound, so the property
+    /// covers it.
+    #[test]
+    fn the_bound_at_the_root_is_at_least_the_optimum() {
+        let videos = [
+            ladder_video(3),
+            envivio_video(),
+            ladder_video(10),
+            ladder_video(18),
+        ];
+        let two_second = VideoBuilder::new(Ladder::geometric(300.0, 4000.0, 6).unwrap())
+            .chunks(30)
+            .chunk_secs(2.0)
+            .cbr();
+        let qualities = [
+            QualityFn::Identity,
+            QualityFn::Log {
+                r0: 150.0,
+                scale: 1000.0,
+            },
+            QualityFn::Saturating { cap_kbps: 1200.0 },
+            QualityFn::Table {
+                knots: vec![
+                    (200.0, 0.0),
+                    (1000.0, 1500.0),
+                    (3000.0, 2500.0),
+                    (8000.0, 3000.0),
+                ],
+            },
+        ];
+        let cases = 4000;
+        let mut budget_decides = 0;
+        let mut rng = SplitMix64::new(0xB0_07D5);
+        for case in 0..cases {
+            let video = match rng.below(5) {
+                4 => &two_second,
+                i => &videos[i],
+            };
+            let (n, chunks) = (video.ladder().len(), video.num_chunks());
+            let w = QoeWeights {
+                lambda: [0.0, 0.5, 1.0, 3.0][rng.below(4)],
+                mu: [3000.0, 6000.0][rng.below(2)],
+                mu_event: [0.0, 500.0][rng.below(2)],
+                quality: qualities[rng.below(qualities.len())].clone(),
+                ..QoeWeights::balanced()
+            };
+            let horizon = 1 + rng.below(if n > 10 { 4 } else { 6 });
+            let start = rng.below(chunks);
+            let b_max = [10.0, 20.0, 30.0][rng.below(3)];
+            let buffer = b_max * rng.next_f64();
+            let c = 100.0 * 100f64.powf(rng.next_f64());
+            let prev = Some(rng.below(n + 1)).filter(|&p| p < n).map(LevelIdx);
+            let (_, optimum) = optimize_first_with(
+                &mut HorizonScratch::default(),
+                video,
+                start,
+                horizon,
+                buffer,
+                b_max,
+                prev,
+                c,
+                &w,
+            );
+            let mut scratch = mpc::HorizonScratch::new();
+            let s = mpc::prepare(&mut scratch, video, start, horizon, b_max, c, &w);
+            let p = mpc::prev_row(video, prev);
+            let (switching, budget) = (s.below(0).switching(buffer, p), s.below(0).budget(buffer));
+            budget_decides += usize::from(budget < switching);
+            let what = format!(
+                "case {case}: {n} levels, start {start}, horizon {horizon}, \
+                 buffer {buffer}/{b_max}, {c} kbps, prev {prev:?}, {w:?}"
+            );
+            assert!(
+                budget >= optimum,
+                "{what}: budget bound {budget} < optimum {optimum}"
+            );
+            assert!(
+                switching >= optimum - 1e-12 * optimum.abs(),
+                "{what}: switching bound {switching} < optimum {optimum}"
+            );
+        }
+        assert!(
+            budget_decides * 4 >= cases,
+            "the throughput-budget bound decided only {budget_decides} of {cases} cases"
+        );
+    }
 }

@@ -11,8 +11,10 @@
 //! carried across runs.
 //!
 //! Keys are content hashes (FNV-1a over the exact `f64` bit patterns of the
-//! trace segments, video sizes and config), so a cache entry can never be
-//! served for a different problem than the one it was solved for — and
+//! trace segments, video sizes and config; the trace and the video enter
+//! through digests taken when each was built, so a hit costs the same for
+//! any trace), so a cache entry can never be served for a different
+//! problem than the one it was solved for — and
 //! because the solver itself is bit-deterministic, a hit returns exactly the
 //! bytes a fresh solve would produce.
 
@@ -33,27 +35,20 @@ pub enum OptMode {
     Discrete,
 }
 
-/// Content hash identifying one offline problem instance: the exact trace
-/// segments, the video's timing/ladder/per-chunk sizes, every field of the
-/// [`OfflineConfig`] (including the quality function), and the solver mode.
-/// All floats are hashed by bit pattern, so any observable difference in the
-/// problem yields a different key.
+/// Content hash identifying one offline problem instance: the trace's
+/// segments and the video's timing, ladder and per-chunk sizes (through
+/// their digests, [`Trace::digest`] and [`Video::digest`], taken once when
+/// each is built), every field of the [`OfflineConfig`] (including the
+/// quality function), and the solver mode. All floats are hashed by bit
+/// pattern, so any observable difference in the problem yields a different
+/// key, and a key costs the same for any trace or video length.
 pub fn content_key(trace: &Trace, video: &Video, cfg: &OfflineConfig, mode: OptMode) -> u128 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::resume(video.digest());
     h.byte(match mode {
         OptMode::Continuous => 0,
         OptMode::Discrete => 1,
     });
-    // Trace: segment count then every (duration, kbps) pair.
-    h.len(trace.num_segments());
-    for i in 0..trace.num_segments() {
-        let (d, c) = trace.segment(i);
-        h.f64(d);
-        h.f64(c);
-    }
-    // Video: timing, ladder, and per-chunk per-level sizes (covers VBR).
-    h.video(video);
-    // Config.
+    h.u128(trace.digest());
     h.len(cfg.rate_grid);
     h.len(cfg.buffer_bins);
     h.f64(cfg.buffer_max_secs);
@@ -233,7 +228,7 @@ mod tests {
 
     #[test]
     fn keys_keep_their_recorded_values() {
-        // Recorded before the FNV stream moved to `abr_video::Fnv`.
+        // Recorded when the key began hashing the trace and video digests.
         let ladder =
             abr_video::Ladder::new(vec![300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0]).unwrap();
         let vbr = abr_video::VideoBuilder::new(ladder)
@@ -244,11 +239,11 @@ mod tests {
         let cfg = OfflineConfig::paper_default();
         assert_eq!(
             content_key(&t, &envivio_video(), &cfg, OptMode::Continuous),
-            0x44f966a9f8f512efa10452d241825c92
+            0x63e1b2335d0270b48e70e56b21777fa1
         );
         assert_eq!(
             content_key(&t, &vbr, &cfg, OptMode::Discrete),
-            0x499d4757d4772621ef5e6f53e44efe8b
+            0x2092ec09c9808fd17c08c209f64eea0c
         );
     }
 

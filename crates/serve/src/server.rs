@@ -106,15 +106,16 @@ impl AbrService {
                     Ok(p) => p,
                     Err(e) => return self.reject(Response::bad_request(&e.to_string())),
                 };
-                // Joint allocation (group members only) happens before the
-                // shard lock; ungrouped deployments skip it via a lock-free
-                // membership check.
-                let over = self.coordinator.observe_and_allocate(&parsed);
+                // Joint allocation (group members only) runs under the
+                // session's shard lock, once the report has passed the
+                // store's checks, so a refused report never reaches the
+                // coordinator; ungrouped deployments skip it via a
+                // lock-free membership check.
                 let start = Instant::now();
                 let outcome = self.store.with_session(parsed.sid, |session| {
                     (
                         session.backend_token(),
-                        session.decide_with(&parsed, over),
+                        session.decide_with(&parsed, |r| self.coordinator.observe_and_allocate(r)),
                         session.last_live_latency_secs(),
                     )
                 });
@@ -139,13 +140,12 @@ impl AbrService {
                 };
                 // Coordinator passes run in batch order, so a batch
                 // carrying several group-mates sees each one's report
-                // before the next allocation — same as scalar arrival.
-                let overrides: Vec<Option<usize>> = reqs
-                    .iter()
-                    .map(|r| self.coordinator.observe_and_allocate(r))
-                    .collect();
+                // before the next allocation — same as scalar arrival —
+                // and, as there, only reports the store accepts.
                 let start = Instant::now();
-                let outcomes = self.store.decide_bulk_with(&reqs, &overrides);
+                let outcomes = self
+                    .store
+                    .decide_bulk_with(&reqs, |r| self.coordinator.observe_and_allocate(r));
                 // One store pass served the whole batch; attribute the
                 // amortized per-decision service time to each slot.
                 let per_slot_nanos =
@@ -239,6 +239,7 @@ fn decide_error_status(e: &DecideError) -> u16 {
         DecideError::MissingClock => 400,
         DecideError::BadThroughput(_) => 400,
         DecideError::BadBuffer(_) => 400,
+        DecideError::BadClock(_) => 400,
     }
 }
 

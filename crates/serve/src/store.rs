@@ -24,7 +24,7 @@ use abr_fastmpc::{TableStore, TableStoreConfig};
 use abr_net::mpd::{self, MpdError};
 use abr_predictor::{ErrorTracked, Predictor};
 use abr_sim::RobustBound;
-use abr_video::{LevelIdx, LiveSchedule, Video};
+use abr_video::{LevelIdx, LiveSchedule, LiveState, Video};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -52,6 +52,9 @@ pub enum DecideError {
     BadThroughput(f64),
     /// The reported buffer level is negative or not finite.
     BadBuffer(f64),
+    /// A live session's clock (`now`) is negative or not finite; the
+    /// player's clock starts at 0. A VOD session ignores `now`.
+    BadClock(f64),
 }
 
 impl std::fmt::Display for DecideError {
@@ -69,6 +72,9 @@ impl std::fmt::Display for DecideError {
             }
             DecideError::BadBuffer(secs) => {
                 write!(f, "buffer {secs} s is not finite and non-negative")
+            }
+            DecideError::BadClock(secs) => {
+                write!(f, "clock {secs} s is not finite and non-negative")
             }
         }
     }
@@ -170,23 +176,11 @@ impl SessionState {
         self.last_live_latency
     }
 
-    /// Decides the bitrate for `req.chunk`, replaying the bookkeeping of
-    /// the chunk the client just finished first.
-    pub fn decide(&mut self, req: &DecisionRequest) -> Result<DecisionReply, DecideError> {
-        self.decide_with(req, None)
-    }
-
-    /// [`decide`](Self::decide) with an optional coordinator override:
-    /// `Some(level)` answers with the jointly allocated level instead of
-    /// consulting the scalar controller. All session bookkeeping
-    /// (ordering, low-buffer history, predictor observation) is identical
-    /// either way, so a session whose overrides are all `None` is
-    /// bit-exactly an uncoordinated session.
-    pub fn decide_with(
-        &mut self,
-        req: &DecisionRequest,
-        override_level: Option<usize>,
-    ) -> Result<DecisionReply, DecideError> {
+    /// Every check a decision request must pass, in the order their errors
+    /// take precedence; on success, the live availability state the
+    /// request's clock implies (`None` for VOD). It only reads the session,
+    /// so a refused request leaves no trace.
+    fn check(&self, req: &DecisionRequest) -> Result<Option<LiveState>, DecideError> {
         if self.next_chunk >= self.video.num_chunks() {
             return Err(DecideError::SessionComplete);
         }
@@ -205,18 +199,11 @@ impl SessionState {
                 got: req.chunk,
             });
         }
-        let live_state = match (&self.live, req.now_secs) {
-            (Some(live), Some(now)) => {
-                // The single chokepoint shared with the in-process twin:
-                // the availability state is rebuilt from the reported wall
-                // clock through the same LiveSchedule::state arithmetic,
-                // which is what keeps wire decisions bit-identical.
-                Some(live.state(now, req.chunk, req.buffer_secs, self.video.chunk_secs()))
-            }
+        let live = match (&self.live, req.now_secs) {
+            (Some(live), Some(now)) => Some((live, now)),
             (Some(_), None) => return Err(DecideError::MissingClock),
             (None, _) => None,
         };
-
         if let Some(last) = &req.last {
             if last.level >= self.video.ladder().len() {
                 return Err(DecideError::BadLevel(last.level));
@@ -225,12 +212,47 @@ impl SessionState {
                 return Err(DecideError::BadThroughput(last.throughput_kbps));
             }
         }
-        // Checked last, so a request refused for anything else keeps its
-        // answer. The buffer model (`abr_core::advance_buffer`) is defined
-        // only for a finite, non-negative level.
+        // The buffer and the clock are checked last, so a request refused
+        // for anything else keeps its answer. The buffer model
+        // (`abr_core::advance_buffer`) is defined only for a finite,
+        // non-negative level, and the player's clock starts at 0.
         if !(req.buffer_secs >= 0.0 && req.buffer_secs.is_finite()) {
             return Err(DecideError::BadBuffer(req.buffer_secs));
         }
+        if let Some((_, now)) = live {
+            if !(now >= 0.0 && now.is_finite()) {
+                return Err(DecideError::BadClock(now));
+            }
+        }
+        // The single chokepoint shared with the in-process twin: the
+        // availability state is rebuilt from the reported wall clock
+        // through the same LiveSchedule::state arithmetic, which is what
+        // keeps wire decisions bit-identical.
+        Ok(live.map(|(live, now)| {
+            live.state(now, req.chunk, req.buffer_secs, self.video.chunk_secs())
+        }))
+    }
+
+    /// Decides the bitrate for `req.chunk`, replaying the bookkeeping of
+    /// the chunk the client just finished first.
+    pub fn decide(&mut self, req: &DecisionRequest) -> Result<DecisionReply, DecideError> {
+        self.decide_with(req, |_| None)
+    }
+
+    /// [`decide`](Self::decide) with a coordinator: once `req` has passed
+    /// every check, `allocate` sees it, and `Some(level)` answers with the
+    /// jointly allocated level instead of consulting the scalar controller.
+    /// A refused request never reaches `allocate`. All session bookkeeping
+    /// (ordering, low-buffer history, predictor observation) is identical
+    /// either way, so a session whose allocations are all `None` is
+    /// bit-exactly an uncoordinated session.
+    pub fn decide_with(
+        &mut self,
+        req: &DecisionRequest,
+        allocate: impl FnOnce(&DecisionRequest) -> Option<usize>,
+    ) -> Result<DecisionReply, DecideError> {
+        let live_state = self.check(req)?;
+        let override_level = allocate(req);
 
         // Post-download bookkeeping of chunk k-1, exactly as
         // run_session_core performs it before looping to chunk k.
@@ -412,50 +434,49 @@ impl SessionStore {
     }
 
     /// Resolves a whole batch of decision requests in one store pass:
-    /// requests are grouped by shard and each touched shard's lock is
-    /// taken exactly once, instead of once per request. Results are
-    /// positional (`results[i]` answers `reqs[i]`); each carries the
-    /// session's backend token when the session exists. Within a shard,
-    /// requests resolve in batch order, so a batch may legally carry the
+    /// each shard the batch touches is locked once, instead of once per
+    /// request. Results are positional (`results[i]` answers `reqs[i]`);
+    /// each carries the session's backend token when the session exists.
+    /// Requests resolve in batch order, so a batch may legally carry the
     /// same session twice with ascending chunk indices.
     pub fn decide_bulk(
         &self,
         reqs: &[DecisionRequest],
     ) -> Vec<(Option<&'static str>, Result<DecisionReply, DecideError>)> {
-        self.decide_bulk_with(reqs, &[])
+        self.decide_bulk_with(reqs, |_| None)
     }
 
-    /// [`decide_bulk`](Self::decide_bulk) with positional coordinator
-    /// overrides: `overrides[i]`, when present and `Some`, answers
-    /// `reqs[i]` with the jointly allocated level. An empty or short
-    /// slice means no override for the remaining slots.
+    /// [`decide_bulk`](Self::decide_bulk) with a coordinator: `allocate`
+    /// sees each request that passes its session's checks, in batch order,
+    /// and answers it as [`SessionState::decide_with`] describes. The
+    /// touched shards stay locked for the whole batch (taken in index
+    /// order), so each request is checked against its session exactly as
+    /// it is then decided.
     pub fn decide_bulk_with(
         &self,
         reqs: &[DecisionRequest],
-        overrides: &[Option<usize>],
+        mut allocate: impl FnMut(&DecisionRequest) -> Option<usize>,
     ) -> Vec<(Option<&'static str>, Result<DecisionReply, DecideError>)> {
-        let mut results: Vec<_> = reqs
-            .iter()
-            .map(|r| (None, Err(DecideError::UnknownSession(r.sid))))
+        let shard_of = |sid: u64| (sid % self.shards.len() as u64) as usize;
+        let mut touched = vec![false; self.shards.len()];
+        for req in reqs {
+            touched[shard_of(req.sid)] = true;
+        }
+        let mut guards: Vec<_> = (self.shards.iter().zip(touched))
+            .map(|(shard, t)| t.then(|| shard.lock().unwrap()))
             .collect();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, req) in reqs.iter().enumerate() {
-            by_shard[(req.sid % self.shards.len() as u64) as usize].push(i);
-        }
-        for (shard, idxs) in self.shards.iter().zip(&by_shard) {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut shard = shard.lock().unwrap();
-            for &i in idxs {
-                if let Some(state) = shard.get_mut(&reqs[i].sid) {
-                    let over = overrides.get(i).copied().flatten();
-                    results[i] =
-                        (Some(state.backend_token()), state.decide_with(&reqs[i], over));
+        reqs.iter()
+            .map(|req| {
+                let shard = guards[shard_of(req.sid)].as_mut().expect("locked above");
+                match shard.get_mut(&req.sid) {
+                    Some(state) => (
+                        Some(state.backend_token()),
+                        state.decide_with(req, &mut allocate),
+                    ),
+                    None => (None, Err(DecideError::UnknownSession(req.sid))),
                 }
-            }
-        }
-        results
+            })
+            .collect()
     }
 
     /// Retires session `sid`; true if it existed.

@@ -245,3 +245,69 @@ fn bulk_endpoint_carries_coordination() {
         24
     );
 }
+
+/// A report the store refuses never reaches the coordinator. In a
+/// two-member RobustMPC group on a thin link, member A's chunk-2 report is
+/// refused (its buffer is NaN, and it claims a throughput a million times
+/// the link's); member B's next decision must be the one it gets when A
+/// never sent that report, whether A sent it on `/decision` or in a
+/// `/decisions` batch.
+#[test]
+fn a_refused_report_never_reaches_the_coordinator() {
+    use abr_serve::{decode_bulk_reply, encode_bulk};
+    let thin = |sid: u64, k: usize, prev_level: usize| DecisionRequest {
+        buffer_secs: 10.0,
+        last: (k > 0).then_some(LastChunk {
+            level: prev_level,
+            throughput_kbps: 900.0,
+            download_secs: 3.0,
+        }),
+        ..report(sid, k, prev_level)
+    };
+    // `refused`: none, on `/decision`, or in a `/decisions` batch.
+    let next_of_b = |refused: Option<&str>| {
+        let svc = AbrService::new(4);
+        let (a, b) = (
+            register(&svc, Backend::RobustMpc, Some("thin-cell")),
+            register(&svc, Backend::RobustMpc, Some("thin-cell")),
+        );
+        let mut levels = [0usize; 2];
+        for k in 0..2 {
+            for (level, sid) in levels.iter_mut().zip([a, b]) {
+                *level = decide(&svc, &thin(sid, k, *level)).expect("accepted").level;
+            }
+        }
+        let bad = DecisionRequest {
+            buffer_secs: f64::NAN,
+            last: Some(LastChunk {
+                level: levels[0],
+                throughput_kbps: 1e9,
+                download_secs: 0.01,
+            }),
+            ..thin(a, 2, levels[0])
+        };
+        match refused {
+            Some("/decision") => assert_eq!(decide(&svc, &bad).map(|r| r.level), Err(400)),
+            Some(path) => {
+                let body = encode_bulk(&[bad]);
+                let resp = svc.handle(&Request::post(path, body.as_bytes(), "text/plain"));
+                let slots = decode_bulk_reply(&String::from_utf8_lossy(&resp.body)).unwrap();
+                assert_eq!(
+                    slots[0].as_ref().map(|r| r.level).map_err(|e| e.0),
+                    Err(400)
+                );
+            }
+            None => {}
+        }
+        decide(&svc, &thin(b, 2, levels[1]))
+            .expect("accepted")
+            .level
+    };
+    let clean = next_of_b(None);
+    assert_eq!(next_of_b(Some("/decision")), clean, "refused on /decision");
+    assert_eq!(
+        next_of_b(Some("/decisions")),
+        clean,
+        "refused in a /decisions batch"
+    );
+}

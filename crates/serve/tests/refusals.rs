@@ -11,7 +11,8 @@
 //! bodies, and the values that once ended the process or panicked the
 //! handler (predictor and error windows, EWMA weights, crowd priors,
 //! FastMPC buffer caps, reported throughputs), then reported buffers and
-//! QoE weights that are negative or not finite. Each newer group is
+//! QoE weights that are negative or not finite, then live clocks that are
+//! negative or not finite. Each newer group is
 //! appended after the older ones, so their answers never moved. The golden
 //! holds one line per request: a label and the whole response as written
 //! to the wire, escaped. To re-record after an intended change, delete
@@ -570,6 +571,43 @@ fn bad_weights(svc: &AbrService) -> String {
     out
 }
 
+/// A live clock that is not finite or is negative, refused for every live
+/// backend that searches or looks up on it (they all once answered 200 on
+/// such a clock) on `/decision` and in every `/decisions` slot; the
+/// session then keeps deciding.
+fn bad_clocks(svc: &AbrService) -> String {
+    let mut out = String::new();
+    for backend in [
+        Backend::Mpc,
+        Backend::RobustMpc,
+        Backend::FastMpc,
+        Backend::Bb,
+    ] {
+        let mut spec = live_spec(backend);
+        spec.bottleneck = None;
+        let label = format!("session {backend} live");
+        let registered = answer(svc, &label, "/session", spec.encode().as_bytes());
+        let sid = sid_in(&registered);
+        out += &registered;
+        let [first, good] = chunk_requests(sid, true, 3.0);
+        let label = format!("decision {backend} live chunk 0");
+        out += &answer(svc, &label, "/decision", first.encode().as_bytes());
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e300].map(|now| DecisionRequest {
+            now_secs: Some(now),
+            ..good
+        });
+        for req in &bad {
+            let label = format!("decision {backend} live now {:?}", req.now_secs.unwrap());
+            out += &answer(svc, &label, "/decision", req.encode().as_bytes());
+        }
+        let label = format!("decisions {backend} live now NaN, inf, -inf, -1e300");
+        out += &answer(svc, &label, "/decisions", encode_bulk(&bad).as_bytes());
+        let label = format!("decision {backend} live chunk 1");
+        out += &answer(svc, &label, "/decision", good.encode().as_bytes());
+    }
+    out
+}
+
 #[test]
 fn refusals_match_the_golden() {
     let svc = AbrService::new(4);
@@ -577,7 +615,8 @@ fn refusals_match_the_golden() {
         + &decisions(&svc)
         + &hostile_values(&svc)
         + &bad_buffers(&svc)
-        + &bad_weights(&svc);
+        + &bad_weights(&svc)
+        + &bad_clocks(&svc);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/refusals.txt");
     let Ok(expected) = std::fs::read_to_string(&path) else {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();

@@ -1,5 +1,7 @@
 //! The piecewise-constant throughput trace and its integration primitives.
 
+use abr_video::Fnv;
+
 /// Errors constructing a [`Trace`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
@@ -120,10 +122,13 @@ pub struct Trace {
 /// results (proven by the differential property tests below against the
 /// preserved pre-index scans, `Trace::naive_integrate_kbits` and
 /// `Trace::naive_time_to_download`, which exist only in test builds).
+///
+/// It also holds the trace's content digest ([`Trace::digest`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 struct TraceIndex {
     prefix_secs: Vec<f64>,
     cycle_kbits: f64,
+    digest: u128,
 }
 
 impl TraceIndex {
@@ -135,9 +140,16 @@ impl TraceIndex {
             prefix_secs.push(acc);
         }
         let cycle_kbits = durations.iter().zip(kbps).map(|(d, c)| d * c).sum();
+        let mut h = Fnv::new();
+        h.len(durations.len());
+        for (&d, &c) in durations.iter().zip(kbps) {
+            h.f64(d);
+            h.f64(c);
+        }
         Self {
             prefix_secs,
             cycle_kbits,
+            digest: h.finish(),
         }
     }
 }
@@ -245,6 +257,16 @@ impl Trace {
     #[inline]
     pub fn num_segments(&self) -> usize {
         self.durations.len()
+    }
+
+    /// A content digest of the trace: the FNV-1a-128 stream
+    /// ([`abr_video::Fnv`]) over the segment count and every segment's
+    /// duration and throughput bits, taken once when the trace is built.
+    /// Equal traces have equal digests, and a cache keyed on a trace hashes
+    /// these 16 bytes instead of every segment.
+    #[inline]
+    pub fn digest(&self) -> u128 {
+        self.index.digest
     }
 
     /// `(duration_secs, kbps)` of segment `i` within one cycle.
@@ -767,6 +789,41 @@ mod tests {
     fn steps() -> Trace {
         // 10s at 1000, 10s at 2000, 10s at 500.
         Trace::new(vec![(10.0, 1000.0), (10.0, 2000.0), (10.0, 500.0)]).unwrap()
+    }
+
+    /// The digest is the fresh stream over the segments, for a trace built
+    /// by any constructor, and any segment bit moves it.
+    #[test]
+    fn digest_is_the_fresh_stream_over_the_segments() {
+        let stream = |t: &Trace| {
+            let mut h = Fnv::new();
+            h.len(t.num_segments());
+            for i in 0..t.num_segments() {
+                let (d, c) = t.segment(i);
+                h.f64(d);
+                h.f64(c);
+            }
+            h.finish()
+        };
+        let t = steps();
+        let derived = [
+            t.clone(),
+            t.scaled(1.5),
+            t.concat(&Trace::constant(700.0, 4.0).unwrap()),
+            t.window(5.0, 12.0),
+            Trace::from_samples(1.0, &[300.0, 0.0, 900.0]).unwrap(),
+        ];
+        for trace in &derived {
+            assert_eq!(trace.digest(), stream(trace));
+        }
+        assert_eq!(t.clone().digest(), t.digest(), "a clone keeps it");
+        let bumped = Trace::new(vec![
+            (10.0, 1000.0),
+            (10.0, f64::from_bits(2000.0f64.to_bits() + 1)),
+            (10.0, 500.0),
+        ])
+        .unwrap();
+        assert_ne!(bumped.digest(), t.digest());
     }
 
     #[test]

@@ -105,6 +105,15 @@ impl Video {
         self.chunks[k].kbits(level)
     }
 
+    /// Sizes of chunk `k` at every ladder level, lowest level first, in
+    /// kilobits. They never fall with the level.
+    ///
+    /// Panics if `k` is out of range.
+    #[inline]
+    pub fn chunk_sizes_kbits(&self, k: usize) -> &[f64] {
+        &self.chunks[k].sizes_kbits
+    }
+
     /// Effective bitrate of chunk `k` at `level` (size / duration), kbps.
     /// Equal to the ladder bitrate for CBR content.
     #[inline]

@@ -4,9 +4,11 @@
 //! problem by hashing the exact bit patterns of its inputs, so an entry is
 //! never served for a different problem. Both hash a [`Video`] the same
 //! way ([`Fnv::video`]), and every `Video` carries that hash of itself,
-//! taken once when it is built ([`Video::digest`]). FNV-1a is a stream, so
-//! a key whose first input is the video can resume from the digest
-//! ([`Fnv::resume`]) instead of rehashing every chunk size.
+//! taken once when it is built ([`Video::digest`]); a throughput trace
+//! carries one of its segments the same way (`abr_trace::Trace::digest`).
+//! FNV-1a is a stream, so a key whose first input is the video can resume
+//! from the digest ([`Fnv::resume`]) instead of rehashing every chunk
+//! size, and a key over a trace hashes its digest ([`Fnv::u128`]).
 
 use crate::chunk::Video;
 use crate::ladder::LevelIdx;
@@ -68,6 +70,12 @@ impl Fnv {
     #[inline]
     pub fn f64(&mut self, v: f64) {
         self.bytes(&v.to_bits().to_le_bytes());
+    }
+
+    /// Hashes a 128-bit value, such as another stream's digest.
+    #[inline]
+    pub fn u128(&mut self, v: u128) {
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Hashes a length or count.

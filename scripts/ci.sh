@@ -141,7 +141,18 @@ echo "== differential gate: indexed trace kernels vs naive oracles =="
 # golden (abr-serve: all 8 backends, VOD and live, on a CBR and a VBR
 # video, plus a coordinated group), every malformed or non-UTF-8 body must
 # get its golden answer byte for byte (abr-serve), and every player path
-# must reproduce its golden sessions bit for bit (abr-net).
+# must reproduce its golden sessions bit for bit (abr-net). The MPC horizon
+# search must match its preserved reference bit for bit (10,000 seeded
+# cases, then solves in session and same-start order, where the previous
+# plan seeds the incumbent), both of its bounds must sit above the optimum,
+# its work per solve on a fixed replay must stay under the committed
+# ceiling, and a solve must stay off the allocator (abr-core).
+cargo test --locked --offline -p abr-core -q --lib -- --exact \
+  mpc::reference::tests::table_driven_search_matches_the_reference_bit_for_bit \
+  mpc::reference::tests::seeded_solves_match_the_reference_in_session_and_same_start_order \
+  mpc::reference::tests::the_bound_at_the_root_is_at_least_the_optimum \
+  mpc::tests::search_work_on_a_fixed_replay_stays_under_its_ceiling
+cargo test --locked --offline -p abr-core -q --test no_alloc
 cargo test --locked --offline -p abr-trace -q
 cargo test --locked --offline -p abr-sim -q --test no_alloc
 cargo test --locked --offline -p abr-serve -q --test no_alloc
