@@ -31,6 +31,6 @@ pub use controller::{BitrateController, ControllerContext, Decision};
 pub use mdp::{MdpConfig, MdpController, MdpPolicy, ThroughputChain};
 pub use model::{advance_buffer, BufferStep, StreamModel};
 pub use mpc::{
-    confirm_first_with, live_effective_horizon, optimize_first_with, optimize_horizon, plan_qoe,
-    HorizonPlan, HorizonScratch, Mpc, MpcConfig,
+    live_effective_horizon, optimize_first_with, optimize_horizon, plan_qoe, HorizonPlan,
+    HorizonScratch, Mpc, MpcConfig,
 };

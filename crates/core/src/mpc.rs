@@ -20,9 +20,9 @@
 //! sit strictly below the optimum and can never displace that plan, and an
 //! admissible bound never prunes it either — the solver's output is
 //! bit-identical whatever the warm start and whichever admissible bound,
-//! which is what lets FastMPC's run-aware table generation (`abr-fastmpc`)
-//! reuse neighbouring solutions as hints ([`confirm_first_with`]) while
-//! promising byte-identical tables.
+//! which is what lets a session's decisions and a FastMPC row's cells
+//! (`abr-fastmpc` solves a row's throughput bins in order in one scratch)
+//! seed each solve with the previous plan and still equal a cold solve.
 //!
 //! **Bounds.** The *switching bound* folds the unavoidable switch penalty
 //! and the unavoidable rebuffer time into the optimistic estimate; it
@@ -202,8 +202,8 @@ pub fn plan_qoe(
 /// measurable pruning.
 pub const BOUND_SLACK: f64 = 1e-6;
 
-/// Reusable workspace for [`optimize_first_with`], [`confirm_first_with`]
-/// and [`optimize_first_live`].
+/// Reusable workspace for [`optimize_first_with`] and
+/// [`optimize_first_live`].
 ///
 /// Besides the plan buffers it holds the search's tables (see the module
 /// docs). The per-solve tables are refilled in place by every solve; the
@@ -467,12 +467,15 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// The QoE of the plan that follows `prefix` and then, chunk by chunk,
-    /// takes the level with the largest immediate gain (the higher level
+    /// The value of a real plan to seed the incumbent with: the previous
+    /// solve's plan from this start on (see [`prepare`]), then, chunk by
+    /// chunk, the level with the largest immediate gain (the higher level
     /// on a tie), accumulated with the exact floating-point operations the
-    /// DFS uses along that path. With an empty prefix this is the greedy
-    /// plan; with a whole plan, that plan's value.
-    fn descend(&self, prefix: &[LevelIdx], buffer: f64, prev: usize) -> f64 {
+    /// DFS uses along that path. Without a previous plan this is the greedy
+    /// plan. Only the value is kept, so the search starts pruning from
+    /// node one.
+    fn seed_value(&self, buffer: f64, prev: usize) -> f64 {
+        let prefix = &self.current[..self.seed_len];
         let mut qoe = 0.0;
         let mut buf = buffer;
         let mut p = prev;
@@ -501,14 +504,6 @@ impl<'a> Search<'a> {
             buf = best_next;
         }
         qoe
-    }
-
-    /// The value of a real plan to seed the incumbent with: the previous
-    /// solve's plan from this start on, completed greedily (see
-    /// [`prepare`]). Only the value is kept, so the search starts pruning
-    /// from node one.
-    fn seed_value(&self, buffer: f64, prev: usize) -> f64 {
-        self.descend(&self.current[..self.seed_len], buffer, prev)
     }
 
     /// Runs the search from the root, whose incumbent is already set.
@@ -759,52 +754,6 @@ pub fn optimize_first_with(
     );
     // Warm-start from a real plan, backed off below the optimum.
     s.best_qoe = s.seed_value(buffer_secs, prev) - BOUND_SLACK;
-    s.solve(buffer_secs, prev);
-    let qoe = s.best_qoe;
-    (scratch.best[0], qoe)
-}
-
-/// Hint-seeded variant of [`optimize_first_with`]: warm-starts the search
-/// from `hint` — any feasible plan of the clipped horizon's length, e.g.
-/// the optimum of a neighbouring FastMPC scenario — and from the plan
-/// [`optimize_first_with`] seeds with, whichever scores higher.
-///
-/// Output is **bit-identical** to the unhinted solve regardless of hint
-/// quality: the incumbent seed is a real plan's value backed off by
-/// [`BOUND_SLACK`], hence strictly below the optimum, so the search still
-/// reaches (and keeps) the same first-in-order optimal plan. A good hint
-/// only makes the proof of optimality cheaper. Panics if `hint.len()`
-/// differs from the clipped horizon.
-#[allow(clippy::too_many_arguments)]
-pub fn confirm_first_with(
-    scratch: &mut HorizonScratch,
-    video: &Video,
-    start: usize,
-    horizon: usize,
-    buffer_secs: f64,
-    buffer_max_secs: f64,
-    prev_level: Option<LevelIdx>,
-    throughput_kbps: f64,
-    weights: &QoeWeights,
-    hint: &[LevelIdx],
-) -> (LevelIdx, f64) {
-    let prev = prev_row(video, prev_level);
-    let mut s = prepare(
-        scratch,
-        video,
-        start,
-        horizon,
-        buffer_max_secs,
-        throughput_kbps,
-        weights,
-    );
-    assert_eq!(
-        hint.len(),
-        s.len,
-        "hint length must equal the clipped horizon"
-    );
-    let v_hint = s.descend(hint, buffer_secs, prev);
-    s.best_qoe = v_hint.max(s.seed_value(buffer_secs, prev)) - BOUND_SLACK;
     s.solve(buffer_secs, prev);
     let qoe = s.best_qoe;
     (scratch.best[0], qoe)
@@ -1371,25 +1320,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "hint length")]
-    fn confirm_rejects_wrong_hint_length() {
-        let v = envivio_video();
-        let mut scratch = HorizonScratch::new();
-        confirm_first_with(
-            &mut scratch,
-            &v,
-            0,
-            5,
-            10.0,
-            30.0,
-            None,
-            1000.0,
-            &weights(),
-            &[LevelIdx(0); 3],
-        );
-    }
-
-    #[test]
     fn shared_scratch_solves_match_fresh_scratch_solves() {
         let v = envivio_video();
         let w = weights();
@@ -1652,33 +1582,6 @@ mod tests {
         });
     }
 
-    /// A hint-seeded solve is bit-identical to the cold solve no matter
-    /// how bad the hint plan is (the property the run-aware FastMPC
-    /// table generation relies on).
-    #[test]
-    fn confirm_matches_cold_solve_for_any_hint() {
-        check(64, |rng| {
-            let buffer = rng.range(0.0..30.0);
-            let c = rng.range(100.0..8000.0);
-            let prev = maybe_level(rng);
-            let start = rng.range(0usize..60);
-            let horizon = rng.range(1usize..6);
-            let v = envivio_video();
-            let w = weights();
-            let len = horizon.min(v.num_chunks() - start);
-            let hint: Vec<LevelIdx> = (0..len).map(|_| LevelIdx(rng.below(5))).collect();
-            let mut cold = HorizonScratch::new();
-            let (first_cold, qoe_cold) =
-                optimize_first_with(&mut cold, &v, start, horizon, buffer, 30.0, prev, c, &w);
-            let mut hinted = HorizonScratch::new();
-            let (first_hint, qoe_hint) = confirm_first_with(
-                &mut hinted, &v, start, horizon, buffer, 30.0, prev, c, &w, &hint);
-            assert_eq!(first_hint, first_cold);
-            assert_eq!(qoe_hint.to_bits(), qoe_cold.to_bits());
-            assert_eq!(hinted.plan(), cold.plan());
-        });
-    }
-
     /// Theorem 1's engine: for any fixed plan, QoE is non-decreasing in
     /// throughput, so the worst case over an interval is at the lower
     /// bound.
@@ -1776,6 +1679,82 @@ mod tests {
         eprintln!("{solves} solves: {checks:.1} bound checks, {expanded:.1} expanded per solve");
         assert!(checks <= 65.0, "{checks:.1} bound checks per solve");
         assert!(expanded <= 15.5, "{expanded:.1} expanded nodes per solve");
+    }
+
+    /// The centroids of `count` bins over `[lo, hi]`, linear or
+    /// logarithmic, by the expression `abr_fastmpc::BinSpec::centroid`
+    /// evaluates.
+    fn centroids(count: usize, lo: f64, hi: f64, log: bool) -> Vec<f64> {
+        (0..count)
+            .map(|i| {
+                let frac = (i as f64 + 0.5) / count as f64;
+                if log {
+                    (lo.ln() + frac * (hi.ln() - lo.ln())).exp()
+                } else {
+                    lo + frac * (hi - lo)
+                }
+            })
+            .collect()
+    }
+
+    /// The search's work per cell over a 30-bin FastMPC grid on Envivio
+    /// (buffer bins over `[0, 30 s]`, throughput bins over
+    /// `[100, 10,000] kbps`, horizon 5), solved two ways: each row's
+    /// throughput bins in order in one scratch, as `FastMpcTable::generate`
+    /// sweeps a row, and each cell from a fresh scratch. Returns the cell
+    /// count and the work of each.
+    fn row_sweep_work() -> (u64, Work, Work) {
+        let video = envivio_video();
+        let w = weights();
+        let buffers = centroids(30, 0.0, 30.0, false);
+        let throughputs = centroids(30, 100.0, 10_000.0, true);
+        let (mut cells, mut swept, mut fresh) = (0, Work::default(), Work::default());
+        for &buffer in &buffers {
+            for prev in (0..video.ladder().len()).map(|l| Some(LevelIdx(l))) {
+                let solve = |scratch: &mut HorizonScratch, c: f64| {
+                    optimize_first_with(scratch, &video, 0, 5, buffer, 30.0, prev, c, &w).0
+                };
+                let mut row = HorizonScratch::new();
+                for &c in &throughputs {
+                    let mut cold = HorizonScratch::new();
+                    let (level, cold_level) = (solve(&mut row, c), solve(&mut cold, c));
+                    assert_eq!(level, cold_level, "{buffer} s, {prev:?}, {c} kbps");
+                    fresh.checks += cold.work.checks;
+                    fresh.expanded += cold.work.expanded;
+                    cells += 1;
+                }
+                swept.checks += row.work.checks;
+                swept.expanded += row.work.expanded;
+            }
+        }
+        (cells, swept, fresh)
+    }
+
+    /// A FastMPC row's in-order sweep, pinned by count: each cell's search
+    /// starts from the previous cell's plan, which leaves every table
+    /// byte-identical, so a lost seed would show only as extra work. The
+    /// sweep must stay under its committed ceilings and below the
+    /// fresh-scratch solves of the same cells.
+    #[test]
+    fn row_sweep_work_stays_under_its_ceiling_and_below_cold_solves() {
+        let (cells, swept, fresh) = row_sweep_work();
+        let mean = |count: u64| count as f64 / cells as f64;
+        let (checks, expanded) = (mean(swept.checks), mean(swept.expanded));
+        let (cold_checks, cold_expanded) = (mean(fresh.checks), mean(fresh.expanded));
+        eprintln!(
+            "{cells} cells: swept {checks:.1} bound checks, {expanded:.1} expanded per cell; \
+             fresh scratch {cold_checks:.1} and {cold_expanded:.1}"
+        );
+        assert!(checks <= 53.0, "{checks:.1} bound checks per cell");
+        assert!(expanded <= 12.5, "{expanded:.1} expanded nodes per cell");
+        assert!(
+            checks < cold_checks,
+            "{checks:.1} vs {cold_checks:.1} bound checks per cell"
+        );
+        assert!(
+            expanded < cold_expanded,
+            "{expanded:.1} vs {cold_expanded:.1} expanded per cell"
+        );
     }
 
     /// Exchange-argument theorem: raising the rebuffer weight µ can only

@@ -4,7 +4,7 @@
 //! verbatim (only the scratch type is its own) as the oracle the tables
 //! must match bit for bit: first level, QoE bits and full plan.
 
-use super::{live_effective_horizon, plan_qoe, BOUND_SLACK};
+use super::{live_effective_horizon, BOUND_SLACK};
 use crate::model::advance_buffer;
 use abr_video::{LevelIdx, LiveState, QoeWeights, Video};
 
@@ -310,52 +310,6 @@ pub(super) fn optimize_first_with(
     (scratch.best[0], qoe)
 }
 
-/// The reference [`super::confirm_first_with`].
-#[allow(clippy::too_many_arguments)]
-pub(super) fn confirm_first_with(
-    scratch: &mut HorizonScratch,
-    video: &Video,
-    start: usize,
-    horizon: usize,
-    buffer_secs: f64,
-    buffer_max_secs: f64,
-    prev_level: Option<LevelIdx>,
-    throughput_kbps: f64,
-    weights: &QoeWeights,
-    hint: &[LevelIdx],
-) -> (LevelIdx, f64) {
-    let v_hint = plan_qoe(
-        video,
-        start,
-        hint,
-        buffer_secs,
-        buffer_max_secs,
-        prev_level,
-        throughput_kbps,
-        weights,
-    );
-    let prev_q = prev_level.map(|l| weights.q(video.ladder().kbps(l)));
-    let mut s = prepare(
-        scratch,
-        video,
-        start,
-        horizon,
-        buffer_max_secs,
-        throughput_kbps,
-        weights,
-    );
-    assert_eq!(
-        hint.len(),
-        s.len,
-        "hint length must equal the clipped horizon"
-    );
-    let v_greedy = s.greedy_value(buffer_secs, prev_q);
-    s.best_qoe = v_hint.max(v_greedy) - BOUND_SLACK;
-    s.dfs(0, buffer_secs, prev_q, 0.0);
-    let qoe = s.best_qoe;
-    (scratch.best[0], qoe)
-}
-
 /// The reference [`super::optimize_first_live`].
 #[allow(clippy::too_many_arguments)]
 pub(super) fn optimize_first_live(
@@ -481,16 +435,6 @@ mod tests {
             );
             same(&what, got, table.plan(), want, &old.best);
 
-            let len = horizon.min(chunks - start);
-            let hint: Vec<LevelIdx> = (0..len).map(|_| LevelIdx(rng.below(n))).collect();
-            let got = mpc::confirm_first_with(
-                &mut table, args.0, args.1, args.2, args.3, args.4, args.5, args.6, &w, &hint,
-            );
-            let want = confirm_first_with(
-                &mut old, args.0, args.1, args.2, args.3, args.4, args.5, args.6, &w, &hint,
-            );
-            same(&format!("{what}, hint {hint:?}"), got, table.plan(), want, &old.best);
-
             w.w_lat = [0.0, 25.0][rng.below(2)];
             let live = LiveState {
                 now_secs: 600.0,
@@ -523,9 +467,9 @@ mod tests {
     /// one scratch across every solve: a session's decisions (start,
     /// start + 1, … to the end, with a drifting throughput and the buffer
     /// the chosen levels leave), then a FastMPC row's cells at one start
-    /// (throughput up a grid, cold and hinted with the previous cell's
-    /// plan, as the run-aware generator asks) and a startup grid (buffer up
-    /// a grid). First level, QoE bits and plan must match the reference.
+    /// (throughput up a grid, as the table generator sweeps a row) and a
+    /// startup grid (buffer up a grid). First level, QoE bits and plan must
+    /// match the reference.
     #[test]
     fn seeded_solves_match_the_reference_in_session_and_same_start_order() {
         let mut rng = SplitMix64::new(0x5E55_1015);
@@ -568,35 +512,17 @@ mod tests {
                 let start = rng.below(chunks);
                 let prev = Some(rng.below(n + 1)).filter(|&p| p < n).map(LevelIdx);
                 let buffer = b_max * rng.next_f64();
-                let mut hint: Option<Vec<LevelIdx>> = None;
                 for cell in 0..30 {
                     let c = 100.0 * 100f64.powf(cell as f64 / 29.0);
                     let args = (&video, start, horizon, buffer, b_max, prev, c);
-                    let (got, want) = match &hint {
-                        Some(h) if cell % 2 == 1 => (
-                            mpc::confirm_first_with(
-                                &mut table, args.0, args.1, args.2, args.3, args.4, args.5, args.6,
-                                &w, h,
-                            ),
-                            confirm_first_with(
-                                &mut old, args.0, args.1, args.2, args.3, args.4, args.5, args.6,
-                                &w, h,
-                            ),
-                        ),
-                        _ => (
-                            mpc::optimize_first_with(
-                                &mut table, args.0, args.1, args.2, args.3, args.4, args.5, args.6,
-                                &w,
-                            ),
-                            optimize_first_with(
-                                &mut old, args.0, args.1, args.2, args.3, args.4, args.5, args.6,
-                                &w,
-                            ),
-                        ),
-                    };
+                    let got = mpc::optimize_first_with(
+                        &mut table, args.0, args.1, args.2, args.3, args.4, args.5, args.6, &w,
+                    );
+                    let want = optimize_first_with(
+                        &mut old, args.0, args.1, args.2, args.3, args.4, args.5, args.6, &w,
+                    );
                     let label = what("row", start, buffer, c, prev);
                     same(&label, got, table.plan(), want, &old.best);
-                    hint = Some(table.plan().to_vec());
                 }
                 let c = 100.0 * 100f64.powf(rng.next_f64());
                 for step in 0..=20 {

@@ -1,15 +1,12 @@
 //! Proves the rewritten horizon search is allocation-free on the hot path:
 //! after a warm-up solve has sized the scratch buffers, further solves —
-//! including hint-seeded ones and the `Mpc` controller's steady-state
-//! decisions — perform zero heap allocations.
+//! including the `Mpc` controller's steady-state decisions — perform zero
+//! heap allocations.
 //!
 //! Lives in its own integration-test binary so the counting global
 //! allocator cannot interfere with any other test suite.
 
-use abr_core::{
-    confirm_first_with, optimize_first_with, BitrateController, ControllerContext, HorizonScratch,
-    Mpc,
-};
+use abr_core::{optimize_first_with, BitrateController, ControllerContext, HorizonScratch, Mpc};
 use abr_video::{envivio_video, LevelIdx, QoeWeights};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -82,36 +79,6 @@ fn horizon_solves_do_not_allocate_after_warmup() {
         acc
     });
     assert_eq!(allocs, 0, "steady-state horizon solves must not allocate");
-}
-
-#[test]
-fn hinted_solves_do_not_allocate_after_warmup() {
-    let video = envivio_video();
-    let weights = QoeWeights::balanced();
-    let mut scratch = HorizonScratch::new();
-    optimize_first_with(&mut scratch, &video, 0, 5, 10.0, 30.0, None, 1500.0, &weights);
-    let hint = scratch.plan().to_vec();
-
-    let (allocs, _) = allocations(|| {
-        let mut acc = 0usize;
-        for i in 0..200 {
-            let (level, _) = confirm_first_with(
-                &mut scratch,
-                &video,
-                0,
-                5,
-                (i % 30) as f64,
-                30.0,
-                Some(LevelIdx(i % 5)),
-                300.0 + (i % 60) as f64 * 100.0,
-                &weights,
-                &hint,
-            );
-            acc += level.get();
-        }
-        acc
-    });
-    assert_eq!(allocs, 0, "hint-seeded solves must not allocate");
 }
 
 #[test]

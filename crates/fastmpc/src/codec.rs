@@ -400,16 +400,10 @@ impl FastMpcTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::GenMode;
     use abr_video::{envivio_video, LevelIdx};
 
     fn table() -> FastMpcTable {
-        FastMpcTable::generate_with(
-            &envivio_video(),
-            30.0,
-            TableConfig::with_levels(12, 30.0),
-            GenMode::RunAware,
-        )
+        FastMpcTable::generate(&envivio_video(), 30.0, TableConfig::with_levels(12, 30.0))
     }
 
     #[test]
@@ -447,12 +441,7 @@ mod tests {
             },
         ] {
             cfg.weights.quality = q;
-            let t = FastMpcTable::generate_with(
-                &envivio_video(),
-                30.0,
-                cfg.clone(),
-                GenMode::RunAware,
-            );
+            let t = FastMpcTable::generate(&envivio_video(), 30.0, cfg.clone());
             let back = FastMpcTable::from_bytes(&t.to_bytes()).unwrap();
             assert_eq!(t, back);
         }
@@ -462,7 +451,7 @@ mod tests {
     fn sliced_live_table_round_trips() {
         let mut cfg = TableConfig::with_levels(8, 30.0).live_slices(3);
         cfg.weights.w_lat = 0.05;
-        let t = FastMpcTable::generate_with(&envivio_video(), 30.0, cfg, GenMode::RunAware);
+        let t = FastMpcTable::generate(&envivio_video(), 30.0, cfg);
         let bytes = t.to_bytes();
         assert_eq!(bytes.len(), t.binary_size_bytes());
         let back = FastMpcTable::from_bytes(&bytes).unwrap();

@@ -22,12 +22,11 @@
 //! Table-size accounting for Table 1 is provided by
 //! [`FastMpcTable::full_size_bytes`] and [`FastMpcTable::rle_size_bytes`].
 //!
-//! The enumeration pipeline is parallel and run-aware: (buffer, previous
-//! level) rows fan out across threads via `abr-par`, and within a row a
-//! divide-and-conquer pass over the throughput axis settles candidate runs
-//! with cheap hint-seeded solves ([`GenMode`]). Every mode is byte-identical
-//! to the sequential reference. Tables ship in a compact binary format
-//! ([`FastMpcTable::to_bytes`], [`codec`]).
+//! The enumeration is one in-order sweep: (buffer, previous level) rows
+//! fan out across threads via `abr-par`, and each row solves its
+//! throughput bins in order in one scratch, so each cell's search starts
+//! from its neighbour's plan; every cell still equals a cold solve. Tables
+//! ship in a compact binary format ([`FastMpcTable::to_bytes`], [`codec`]).
 //!
 //! Generated tables live in one [`TableStore`], keyed by a content hash
 //! ([`table_key`]) and generated exactly once per key. Unbounded (the
@@ -52,5 +51,5 @@ pub use codec::CodecError;
 pub use controller::FastMpc;
 pub use rle::Rle;
 pub use store::{table_key, TableHandle, TableStore, TableStoreConfig, TableStoreStats};
-pub use table::{FastMpcTable, GenMode, TableConfig};
+pub use table::{FastMpcTable, TableConfig};
 pub use view::TableView;

@@ -30,7 +30,7 @@
 //!
 //! Keys are content hashes, so an entry is never served for a different
 //! instance than the one it was generated for — and because generation is
-//! bit-deterministic across [`crate::GenMode`]s, a hit returns exactly the
+//! bit-deterministic whatever the thread count, a hit returns exactly the
 //! decisions a fresh generation would produce.
 
 use crate::table::{FastMpcTable, TableConfig};

@@ -3,32 +3,8 @@
 
 use crate::bins::BinSpec;
 use crate::rle::Rle;
-use abr_core::mpc::{confirm_first_with, optimize_first_with, HorizonScratch};
+use abr_core::mpc::{optimize_first_with, HorizonScratch};
 use abr_video::{LevelIdx, QoeWeights, Video};
-
-/// Strategy for the offline enumeration in [`FastMpcTable::generate_with`].
-///
-/// Every mode produces **byte-identical** tables — they differ only in how
-/// much work proves each scenario's optimum. [`FastMpcTable::generate`]
-/// uses [`GenMode::RunAware`], the fastest; [`GenMode::Sequential`] is the
-/// trusted reference the others are tested (and debug-asserted) against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GenMode {
-    /// The reference: one cold solve per scenario, single-threaded, in row
-    /// order. This is the seed implementation's behavior.
-    Sequential,
-    /// Cold solve per scenario, but (buffer, previous-level) rows fan out
-    /// across threads via `abr-par` (thread count: `--threads` /
-    /// `ABR_THREADS` / all cores).
-    Parallel,
-    /// Parallel rows plus run-aware enumeration along the throughput axis:
-    /// divide-and-conquer probes find candidate runs of equal optimal
-    /// plans, and interior scenarios are verified with hint-seeded solves
-    /// (`confirm_first_with`) that are exact regardless of hint quality —
-    /// monotonicity is exploited, never assumed.
-    #[default]
-    RunAware,
-}
 
 /// Configuration of the FastMPC table.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,168 +92,19 @@ pub struct FastMpcTable {
     pub(crate) decisions: Rle,
 }
 
-/// Fills one (buffer, previous-level) row by cold-solving every throughput
-/// bin in order — the reference enumeration.
-#[allow(clippy::too_many_arguments)]
-fn row_sequential(
-    scratch: &mut HorizonScratch,
-    video: &Video,
-    buffer_max_secs: f64,
-    cfg: &TableConfig,
-    horizon: usize,
-    buffer: f64,
-    prev: usize,
-    row: &mut [u8],
-) {
-    for (c, slot) in row.iter_mut().enumerate() {
-        let throughput = cfg.throughput_bins.centroid(c);
-        let (first, _) = optimize_first_with(
-            scratch,
-            video,
-            0,
-            horizon,
-            buffer,
-            buffer_max_secs,
-            Some(LevelIdx(prev)),
-            throughput,
-            &cfg.weights,
-        );
-        *slot = first.get() as u8;
-    }
-}
-
-/// Fills one row run-aware: divide-and-conquer over the throughput axis.
-///
-/// Probe bins get a full solve; when an interval's two endpoint solves
-/// produce the *same full plan*, the interval is a candidate run and every
-/// interior bin is settled with a hint-seeded solve instead of a cold one.
-/// Hint-seeded solves are exact whatever the hint (see
-/// [`abr_core::mpc::confirm_first_with`]), so a non-monotone wiggle inside
-/// a candidate run — they exist, roughly 1 bin in 20 at the paper's
-/// resolution — still comes out correct, just less cheaply. The payoff is
-/// that a hint equal to the true optimum makes the proof of optimality
-/// nearly free, and inside a run that is the common case.
-#[allow(clippy::too_many_arguments)]
-fn row_run_aware(
-    scratch: &mut HorizonScratch,
-    video: &Video,
-    buffer_max_secs: f64,
-    cfg: &TableConfig,
-    horizon: usize,
-    buffer: f64,
-    prev: usize,
-    row: &mut [u8],
-) {
-    let n = cfg.throughput_bins.count;
-    let prev_level = Some(LevelIdx(prev));
-    let solve = |scratch: &mut HorizonScratch, c: usize, hint: Option<&[LevelIdx]>| {
-        let throughput = cfg.throughput_bins.centroid(c);
-        let first = match hint {
-            Some(h) => {
-                confirm_first_with(
-                    scratch,
-                    video,
-                    0,
-                    horizon,
-                    buffer,
-                    buffer_max_secs,
-                    prev_level,
-                    throughput,
-                    &cfg.weights,
-                    h,
-                )
-                .0
-            }
-            None => {
-                optimize_first_with(
-                    scratch,
-                    video,
-                    0,
-                    horizon,
-                    buffer,
-                    buffer_max_secs,
-                    prev_level,
-                    throughput,
-                    &cfg.weights,
-                )
-                .0
-            }
-        };
-        (first.get() as u8, scratch.plan().to_vec())
-    };
-    if n == 1 {
-        row[0] = solve(scratch, 0, None).0;
-    } else {
-        let (d0, p0) = solve(scratch, 0, None);
-        row[0] = d0;
-        let (dn, pn) = solve(scratch, n - 1, Some(&p0));
-        row[n - 1] = dn;
-        // Explicit interval stack; each interval carries its endpoint plans
-        // so equal-plan intervals switch to hint-seeded solves.
-        let mut stack: Vec<(usize, usize, Vec<LevelIdx>, Vec<LevelIdx>)> =
-            vec![(0, n - 1, p0, pn)];
-        while let Some((lo, hi, plan_lo, plan_hi)) = stack.pop() {
-            if hi - lo <= 1 {
-                continue;
-            }
-            if plan_lo == plan_hi {
-                for (cell, c) in row[lo + 1..hi].iter_mut().zip(lo + 1..) {
-                    *cell = solve(scratch, c, Some(&plan_lo)).0;
-                }
-            } else {
-                let mid = lo + (hi - lo) / 2;
-                let (dm, pm) = solve(scratch, mid, Some(&plan_lo));
-                row[mid] = dm;
-                stack.push((lo, mid, plan_lo, pm.clone()));
-                stack.push((mid, hi, pm, plan_hi));
-            }
-        }
-    }
-    // In debug builds, re-derive the row with the reference enumeration —
-    // the run-aware path must be equivalent bin for bin.
-    #[cfg(debug_assertions)]
-    {
-        let mut reference = vec![0u8; n];
-        row_sequential(
-            scratch,
-            video,
-            buffer_max_secs,
-            cfg,
-            horizon,
-            buffer,
-            prev,
-            &mut reference,
-        );
-        debug_assert_eq!(
-            row, &reference[..],
-            "run-aware row diverged from the sequential reference"
-        );
-    }
-}
-
 impl FastMpcTable {
     /// Runs the offline enumeration: one exact MPC solve per scenario
-    /// centroid (the role CPLEX plays in the paper), in the fastest mode
-    /// ([`GenMode::RunAware`]: parallel rows + run-aware throughput axis).
+    /// centroid (the role CPLEX plays in the paper).
     ///
     /// `video` supplies the ladder and chunk sizes; the table represents the
-    /// steady state, so solves start at chunk 0 with the full horizon.
+    /// steady state, so solves start at chunk 0 with the full horizon,
+    /// clipped to the video as every solve is. (Buffer, previous-level)
+    /// rows fan out across threads via `abr-par`, and each row solves its
+    /// throughput bins in order in one [`HorizonScratch`], so a cell's
+    /// search starts from its neighbour's plan as incumbent. The incumbent
+    /// only speeds the proof of optimality: every cell equals a cold solve
+    /// from a fresh scratch.
     pub fn generate(video: &Video, buffer_max_secs: f64, cfg: TableConfig) -> Self {
-        Self::generate_with(video, buffer_max_secs, cfg, GenMode::default())
-    }
-
-    /// [`FastMpcTable::generate`] with an explicit enumeration strategy.
-    /// All modes produce byte-identical tables; see [`GenMode`].
-    pub fn generate_with(
-        video: &Video,
-        buffer_max_secs: f64,
-        cfg: TableConfig,
-        mode: GenMode,
-    ) -> Self {
-        assert!(
-            video.num_chunks() >= cfg.horizon,
-            "video shorter than the MPC horizon"
-        );
         let num_levels = video.ladder().len();
         assert!(num_levels <= u8::MAX as usize, "ladder too large for u8 storage");
         assert!(
@@ -288,40 +115,33 @@ impl FastMpcTable {
         let n_rows = cfg.horizon_slices * slice_rows;
         let row_len = cfg.throughput_bins.count;
 
-        let fill = match mode {
-            GenMode::Sequential | GenMode::Parallel => row_sequential,
-            GenMode::RunAware => row_run_aware,
-        };
         // Slice-major: slice `s` (effective horizon `horizon - s`) is a
         // contiguous block of rows, so slice 0 is byte-identical to the
         // single-slice (VOD) table over the same bins.
         let make_row = |r: usize| -> Vec<u8> {
-            let s = r / slice_rows;
+            let horizon = cfg.horizon - r / slice_rows;
             let b = (r % slice_rows) / num_levels;
-            let prev = r % num_levels;
+            let prev = Some(LevelIdx(r % num_levels));
             let buffer = cfg.buffer_bins.centroid(b).min(buffer_max_secs);
             let mut scratch = HorizonScratch::new();
-            let mut row = vec![0u8; row_len];
-            fill(
-                &mut scratch,
-                video,
-                buffer_max_secs,
-                &cfg,
-                cfg.horizon - s,
-                buffer,
-                prev,
-                &mut row,
-            );
-            row
+            (0..row_len)
+                .map(|c| {
+                    let (first, _) = optimize_first_with(
+                        &mut scratch,
+                        video,
+                        0,
+                        horizon,
+                        buffer,
+                        buffer_max_secs,
+                        prev,
+                        cfg.throughput_bins.centroid(c),
+                        &cfg.weights,
+                    );
+                    first.get() as u8
+                })
+                .collect()
         };
-        let rows: Vec<Vec<u8>> = match mode {
-            GenMode::Sequential => (0..n_rows).map(make_row).collect(),
-            GenMode::Parallel | GenMode::RunAware => abr_par::par_map(n_rows, make_row),
-        };
-        let mut decisions = Vec::with_capacity(n_rows * row_len);
-        for row in &rows {
-            decisions.extend_from_slice(row);
-        }
+        let decisions = abr_par::par_map(n_rows, make_row).concat();
         Self {
             cfg,
             num_levels,
@@ -490,36 +310,6 @@ mod tests {
             ratio(&fine),
             ratio(&coarse)
         );
-    }
-
-    #[test]
-    fn all_generation_modes_agree_byte_for_byte() {
-        let video = envivio_video();
-        let cfg = TableConfig::with_levels(10, 30.0);
-        let seq = FastMpcTable::generate_with(&video, 30.0, cfg.clone(), GenMode::Sequential);
-        let par = FastMpcTable::generate_with(&video, 30.0, cfg.clone(), GenMode::Parallel);
-        let ra = FastMpcTable::generate_with(&video, 30.0, cfg, GenMode::RunAware);
-        assert_eq!(seq, par, "parallel must equal the sequential reference");
-        assert_eq!(seq, ra, "run-aware must equal the sequential reference");
-        assert_eq!(seq.decisions.decode(), ra.decisions.decode());
-    }
-
-    #[test]
-    fn one_bin_dimensions_work_in_every_mode() {
-        let video = envivio_video();
-        let cfg = TableConfig {
-            buffer_bins: BinSpec::linear(1, 0.0, 30.0),
-            throughput_bins: BinSpec::log(1, 100.0, 10_000.0),
-            horizon: 3,
-            horizon_slices: 1,
-            weights: QoeWeights::balanced(),
-        };
-        let seq = FastMpcTable::generate_with(&video, 30.0, cfg.clone(), GenMode::Sequential);
-        let par = FastMpcTable::generate_with(&video, 30.0, cfg.clone(), GenMode::Parallel);
-        let ra = FastMpcTable::generate_with(&video, 30.0, cfg, GenMode::RunAware);
-        assert_eq!(seq.num_entries(), 5);
-        assert_eq!(seq, par);
-        assert_eq!(seq, ra);
     }
 
     #[test]

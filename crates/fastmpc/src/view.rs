@@ -162,7 +162,7 @@ impl<B: AsRef<[u8]>> TableView<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::{FastMpcTable, GenMode};
+    use crate::table::FastMpcTable;
     use abr_video::envivio_video;
     use abr_par::{check, SplitMix64};
     use std::sync::OnceLock;
@@ -170,13 +170,8 @@ mod tests {
     fn shared_bytes() -> &'static Vec<u8> {
         static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
         BYTES.get_or_init(|| {
-            FastMpcTable::generate_with(
-                &envivio_video(),
-                30.0,
-                TableConfig::with_levels(12, 30.0),
-                GenMode::RunAware,
-            )
-            .to_bytes()
+            FastMpcTable::generate(&envivio_video(), 30.0, TableConfig::with_levels(12, 30.0))
+                .to_bytes()
         })
     }
 

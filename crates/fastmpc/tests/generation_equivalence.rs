@@ -1,11 +1,13 @@
-//! Property test: every generation strategy — parallel rows, run-aware
-//! divide-and-conquer — produces a table byte-identical to the sequential
-//! reference, across randomized ladders, bin resolutions (including the
-//! degenerate 1-bin case), horizons, and VBR size profiles.
+//! Property tests of the offline enumeration: every table cell equals a
+//! cold exact solve at its centroids, across randomized ladders, bin
+//! resolutions (including the degenerate 1-bin case), horizons, live
+//! slices, videos shorter than the horizon, VBR size profiles and QoE
+//! weights; and the binary codec round-trips what the enumeration makes.
 
-use abr_fastmpc::{BinSpec, FastMpcTable, GenMode, TableConfig};
+use abr_core::mpc::optimize_horizon;
+use abr_fastmpc::{BinSpec, FastMpcTable, TableConfig};
 use abr_par::{check, SplitMix64};
-use abr_video::{Ladder, QoeWeights, VideoBuilder};
+use abr_video::{Ladder, LevelIdx, QoeWeights, QualityFn, VideoBuilder};
 
 /// A strictly increasing bitrate ladder built from a base rate and
 /// multiplicative steps.
@@ -18,37 +20,91 @@ fn random_ladder(rng: &mut SplitMix64) -> Ladder {
     Ladder::new(levels).expect("constructed strictly increasing")
 }
 
-/// Sequential, parallel and run-aware enumeration agree byte for byte.
-///
-/// Each case generates three full tables (plus, in debug builds, the
-/// run-aware path's internal re-derivation), so the case count is low and
-/// the dimensions small.
+/// Weights with `λ ∈ {0, 3}`, `μ_event ∈ {0, 500}` and any quality map.
+fn random_weights(rng: &mut SplitMix64) -> QoeWeights {
+    let quality = match rng.below(4) {
+        0 => QualityFn::Identity,
+        1 => QualityFn::Log {
+            r0: 80.0,
+            scale: 1000.0,
+        },
+        2 => QualityFn::Saturating { cap_kbps: 900.0 },
+        _ => QualityFn::Table {
+            knots: vec![
+                (100.0, 0.0),
+                (500.0, 1200.0),
+                (1500.0, 2000.0),
+                (4000.0, 2400.0),
+            ],
+        },
+    };
+    QoeWeights {
+        lambda: [0.0, 3.0][rng.below(2)],
+        mu_event: [0.0, 500.0][rng.below(2)],
+        quality,
+        ..QoeWeights::balanced()
+    }
+}
+
+/// Every cell of a generated table — each live slice, buffer bin,
+/// previous level and throughput bin — equals the first level of
+/// `optimize_horizon`, a cold solve from a fresh scratch, at the cell's
+/// centroids. The generator solves a row's cells in order in one scratch,
+/// each search starting from its neighbour's plan, so this pins that the
+/// seed never changes an answer. Videos may be shorter than the horizon,
+/// where every solve clips it.
 #[test]
-fn all_modes_agree() {
-    check(12, |rng| {
+fn every_cell_equals_a_cold_solve_at_its_centroids() {
+    check(400, |rng| {
         let ladder = random_ladder(rng);
-        let buffer_bins = rng.range(1usize..8);
-        let throughput_bins = rng.range(1usize..8);
-        let horizon = rng.range(1usize..5);
+        let chunks = rng.range(1usize..12);
         let vbr_swing = rng.range(0.0..0.4);
         let video = VideoBuilder::new(ladder)
-            .chunks(10)
+            .chunks(chunks)
             .chunk_secs(4.0)
             .vbr(|k| 1.0 + vbr_swing * if k % 2 == 0 { 1.0 } else { -1.0 });
+        let horizon = rng.range(1usize..6);
         let cfg = TableConfig {
-            buffer_bins: BinSpec::linear(buffer_bins, 0.0, 30.0),
-            throughput_bins: BinSpec::log(throughput_bins, 100.0, 10_000.0),
+            buffer_bins: BinSpec::linear(rng.range(1usize..8), 0.0, 30.0),
+            throughput_bins: BinSpec::log(rng.range(1usize..10), 100.0, 10_000.0),
             horizon,
-            horizon_slices: 1,
-            weights: QoeWeights::balanced(),
+            horizon_slices: rng.range(1usize..=horizon),
+            weights: random_weights(rng),
         };
-        let seq = FastMpcTable::generate_with(&video, 30.0, cfg.clone(), GenMode::Sequential);
-        let par = FastMpcTable::generate_with(&video, 30.0, cfg.clone(), GenMode::Parallel);
-        let ra = FastMpcTable::generate_with(&video, 30.0, cfg, GenMode::RunAware);
-        assert_eq!(&seq, &par, "parallel diverged from sequential");
-        assert_eq!(&seq, &ra, "run-aware diverged from sequential");
-        // The serialized artifacts must match too.
-        assert_eq!(seq.to_bytes(), ra.to_bytes());
+        let b_max = [20.0, 30.0][rng.below(2)];
+        let table = FastMpcTable::generate(&video, b_max, cfg.clone());
+        let levels = video.ladder().len();
+        assert_eq!(
+            table.num_entries(),
+            cfg.horizon_slices * cfg.buffer_bins.count * levels * cfg.throughput_bins.count
+        );
+        for s in 0..cfg.horizon_slices {
+            for b in 0..cfg.buffer_bins.count {
+                let centroid = cfg.buffer_bins.centroid(b);
+                for p in (0..levels).map(LevelIdx) {
+                    for c in 0..cfg.throughput_bins.count {
+                        let thr = cfg.throughput_bins.centroid(c);
+                        let cold = optimize_horizon(
+                            &video,
+                            0,
+                            horizon - s,
+                            centroid.min(b_max),
+                            b_max,
+                            Some(p),
+                            thr,
+                            &cfg.weights,
+                        );
+                        assert_eq!(
+                            table.lookup_live(centroid, p, thr, horizon - s),
+                            cold.first(),
+                            "{levels} levels, {chunks} chunks, horizon {horizon}, slice {s}, \
+                             buffer bin {b}/{b_max}, prev {p:?}, {thr} kbps, {:?}",
+                            cfg.weights
+                        );
+                    }
+                }
+            }
+        }
     });
 }
 
@@ -67,7 +123,7 @@ fn binary_codec_round_trips() {
             horizon_slices: 1,
             weights: QoeWeights::balanced(),
         };
-        let t = FastMpcTable::generate_with(&video, 30.0, cfg, GenMode::RunAware);
+        let t = FastMpcTable::generate(&video, 30.0, cfg);
         let bytes = t.to_bytes();
         assert_eq!(bytes.len(), t.binary_size_bytes());
         let back = FastMpcTable::from_bytes(&bytes).expect("round trip decodes");

@@ -31,8 +31,8 @@ use abr_net::multiplayer::{run_shared_session_faulted, SharedPlayer};
 use abr_net::FaultSpec;
 use abr_predictor::HarmonicMean;
 use abr_serve::{
-    AbrService, Backend, CoordinatedController, CoordinatorConfig, DecisionReply,
-    DecisionRequest, FairnessCoordinator, LastChunk, SessionSpec,
+    AbrService, CoordinatedController, CoordinatorConfig, DecisionReply, DecisionRequest,
+    FairnessCoordinator, LastChunk, SessionSpec,
 };
 use abr_sim::SimConfig;
 use abr_trace::{Dataset, Trace};
@@ -101,16 +101,6 @@ impl BitrateController for Recording {
     }
 }
 
-fn backend_of(algo: Algo) -> Backend {
-    match algo {
-        Algo::Bb => Backend::Bb,
-        Algo::Rb => Backend::Rb,
-        Algo::RobustMpc => Backend::RobustMpc,
-        Algo::Mpc => Backend::Mpc,
-        other => panic!("fairness experiment has no serve backend for {other:?}"),
-    }
-}
-
 fn build_players(
     n: usize,
     algo: Algo,
@@ -161,9 +151,10 @@ fn wire_replay(
         abr_fastmpc::TableStoreConfig::default(),
         coord_cfg(alpha),
     );
+    let backend = algo.backend().expect("the fairness experiment runs served algorithms");
     let mut sids = Vec::with_capacity(n);
     for _ in 0..n {
-        let mut spec = SessionSpec::paper_default(backend_of(algo), video.clone());
+        let mut spec = SessionSpec::paper_default(backend, video.clone());
         if coordinated {
             spec.bottleneck = Some("link".to_string());
         }

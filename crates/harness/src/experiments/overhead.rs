@@ -4,14 +4,15 @@
 //!
 //! This subcommand gives a quick same-binary measurement. The benchmark
 //! (`perfbench`, `--trace 1`) measures the same costs with their spread:
-//! `core.mpc_decide_ns`, `fastmpc.lookup_ns` and `baselines.decide_ns`.
+//! `core.mpc_decide_ns`, `fastmpc.lookup_ns` and `baselines.decide_ns`,
+//! and table generation as `fastmpc.generate_ms`.
 
 use super::ExpOptions;
 use crate::registry::Algo;
 use crate::report::{write_csv, Table};
 use crate::runner::{global_opt_cache, global_table_cache};
 use abr_core::ControllerContext;
-use abr_fastmpc::{FastMpcTable, GenMode, TableConfig, TableHandle};
+use abr_fastmpc::{FastMpcTable, TableConfig, TableHandle};
 use abr_video::{envivio_video, LevelIdx, QoeWeights};
 use std::time::Instant;
 
@@ -21,38 +22,11 @@ pub fn run(opts: &ExpOptions) -> String {
     let weights = QoeWeights::balanced();
     let levels = if opts.quick { 30 } else { 100 };
 
-    // Offline table generation: the sequential reference vs the parallel
-    // and run-aware pipelines (all byte-identical; see GenMode).
-    let mut gen = Table::new(
-        "§7.4 overhead: offline table generation",
-        &["mode", "seconds", "speedup vs sequential"],
-    );
-    let mut table = None;
-    let mut seq_secs = 0.0;
-    for (mode, name) in [
-        (GenMode::Sequential, "sequential"),
-        (GenMode::Parallel, "parallel rows"),
-        (GenMode::RunAware, "parallel + run-aware"),
-    ] {
-        let cfg = TableConfig {
-            weights: weights.clone(),
-            ..TableConfig::with_levels(levels, 30.0)
-        };
-        let t0 = Instant::now();
-        let t = FastMpcTable::generate_with(&video, 30.0, cfg, mode);
-        let secs = t0.elapsed().as_secs_f64();
-        if mode == GenMode::Sequential {
-            seq_secs = secs;
-        }
-        gen.row(vec![
-            name.to_string(),
-            format!("{secs:.2}"),
-            format!("{:.2}x", seq_secs / secs.max(1e-12)),
-        ]);
-        table = Some(t);
-    }
-    write_csv(opts.out.as_deref(), "overhead_tablegen", &gen).expect("csv write");
-    let table = std::sync::Arc::new(table.expect("generated above"));
+    let cfg = TableConfig {
+        weights: weights.clone(),
+        ..TableConfig::with_levels(levels, 30.0)
+    };
+    let table = std::sync::Arc::new(FastMpcTable::generate(&video, 30.0, cfg));
     let handle = TableHandle::Owned(std::sync::Arc::clone(&table));
 
     let algos = [
@@ -163,8 +137,7 @@ pub fn run(opts: &ExpOptions) -> String {
     write_csv(opts.out.as_deref(), "overhead_table_cache", &tcache).expect("csv write");
 
     format!(
-        "{}\n{}\n{}\n{}\n{}",
-        gen.render(),
+        "{}\n{}\n{}\n{}",
         t.render(),
         mem.render(),
         cache.render(),
@@ -186,8 +159,6 @@ mod tests {
         assert!(s.contains("FastMPC"));
         assert!(s.contains("run-length coded"));
         assert!(s.contains("binary serialization"));
-        assert!(s.contains("parallel + run-aware"));
-        assert!(s.contains("speedup vs sequential"));
         assert!(s.contains("opt cache unique solves"));
         assert!(s.contains("opt cache solved exactly once per problem"));
         assert!(s.contains("table cache unique generations"));

@@ -1,12 +1,10 @@
 //! The algorithm registry: builds fresh controller/predictor pairs per
 //! session, exactly as Section 7.1.2 configures them.
 
-use abr_baselines::{Bola, BufferBased, DashJs, Festive, RateBased};
 use abr_core::{BitrateController, Mpc, MpcConfig};
-use abr_fastmpc::{FastMpc, TableHandle};
-use abr_predictor::{
-    Ar1, CrossSession, Ewma, HarmonicMean, LastSample, NoisyOracle, Predictor, SlidingMean,
-};
+use abr_fastmpc::TableHandle;
+use abr_predictor::{NoisyOracle, Predictor};
+use abr_serve::{Backend, PredictorKind};
 use abr_video::QoeWeights;
 
 /// The throughput predictor driving a session.
@@ -37,19 +35,31 @@ pub enum PredictorSpec {
 }
 
 impl PredictorSpec {
+    /// The predictor the decision service hosts for this spec, which builds
+    /// it; `None` for the oracle, which needs the trace's future.
+    pub fn kind(&self) -> Option<PredictorKind> {
+        Some(match *self {
+            PredictorSpec::Harmonic => PredictorKind::Harmonic,
+            PredictorSpec::Oracle(_) => return None,
+            PredictorSpec::Sliding(w) => PredictorKind::Sliding(w),
+            PredictorSpec::Ewma(alpha) => PredictorKind::Ewma(alpha),
+            PredictorSpec::Last => PredictorKind::Last,
+            PredictorSpec::Ar1(w) => PredictorKind::Ar1(w),
+            PredictorSpec::CrossSession { prior_kbps, weight } => {
+                PredictorKind::CrossSession { prior_kbps, weight }
+            }
+        })
+    }
+
     /// Builds a fresh predictor for one session; `seed` keeps oracle noise
     /// deterministic per (trace, algorithm).
     pub fn build(&self, seed: u64) -> Box<dyn Predictor> {
         match *self {
-            PredictorSpec::Harmonic => Box::new(HarmonicMean::paper_default()),
             PredictorSpec::Oracle(err) => Box::new(NoisyOracle::new(err, seed)),
-            PredictorSpec::Sliding(w) => Box::new(SlidingMean::new(w)),
-            PredictorSpec::Ewma(alpha) => Box::new(Ewma::new(alpha)),
-            PredictorSpec::Last => Box::new(LastSample::new()),
-            PredictorSpec::Ar1(w) => Box::new(Ar1::new(w)),
-            PredictorSpec::CrossSession { prior_kbps, weight } => {
-                Box::new(CrossSession::new(prior_kbps, weight, 5))
-            }
+            _ => self
+                .kind()
+                .expect("only the oracle lacks a service predictor")
+                .build(),
         }
     }
 
@@ -135,6 +145,23 @@ impl Algo {
         matches!(self, Algo::FastMpc)
     }
 
+    /// The decision-service backend hosting this algorithm, whose recipe
+    /// builds it; `None` for MPC-OPT, whose perfect predictor only a
+    /// simulator has.
+    pub fn backend(self) -> Option<Backend> {
+        Some(match self {
+            Algo::Rb => Backend::Rb,
+            Algo::Bb => Backend::Bb,
+            Algo::Festive => Backend::Festive,
+            Algo::DashJs => Backend::DashJs,
+            Algo::Bola => Backend::Bola,
+            Algo::FastMpc => Backend::FastMpc,
+            Algo::RobustMpc => Backend::RobustMpc,
+            Algo::Mpc => Backend::Mpc,
+            Algo::MpcOpt => return None,
+        })
+    }
+
     /// Builds a fresh controller. `table` is required for
     /// [`Algo::FastMpc`]; `weights`/`horizon` configure the MPC family.
     pub fn build(
@@ -143,24 +170,16 @@ impl Algo {
         weights: &QoeWeights,
         horizon: usize,
     ) -> Box<dyn BitrateController> {
-        let mpc_cfg = |robust: bool| MpcConfig {
-            horizon,
-            weights: weights.clone(),
-            robust,
-            ..MpcConfig::paper_default()
-        };
-        match self {
-            Algo::Rb => Box::new(RateBased::paper_default()),
-            Algo::Bb => Box::new(BufferBased::paper_default()),
-            Algo::Festive => Box::new(Festive::paper_default()),
-            Algo::DashJs => Box::new(DashJs::paper_default()),
-            Algo::Bola => Box::new(Bola::reference_default()),
-            Algo::FastMpc => Box::new(FastMpc::from_handle(
-                table.expect("FastMPC requires a decision table").clone(),
-            )),
-            Algo::RobustMpc => Box::new(Mpc::new(mpc_cfg(true))),
-            Algo::Mpc => Box::new(Mpc::new(mpc_cfg(false))),
-            Algo::MpcOpt => Box::new(Mpc::new(mpc_cfg(false)).named("MPC-OPT")),
+        match self.backend() {
+            Some(backend) => backend.build(table, weights, horizon),
+            None => Box::new(
+                Mpc::new(MpcConfig {
+                    horizon,
+                    weights: weights.clone(),
+                    ..MpcConfig::paper_default()
+                })
+                .named("MPC-OPT"),
+            ),
         }
     }
 }

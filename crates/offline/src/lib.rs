@@ -32,25 +32,24 @@
 //! the four layer arrays are double-buffered instead of reallocated per
 //! chunk, parents live in one flat `u32` slab, a live-state list keeps dead
 //! `(bin, rate)` buckets from ever touching the trace, and the trace scan
-//! reuses a [`TraceScanCache`](abr_trace::TraceScanCache) so per-state
-//! download times need no per-call prefix recomputation. Per surviving
-//! state the relaxation runs as a branch-free *compute* pass over all
-//! candidate rates (quality-minus-switch penalties come from a precomputed
-//! table, buffer binning uses an exact branchless `round`, and candidate
-//! value/buffer/clock/bin are staged in small arrays the compiler can
-//! vectorize) followed by a scalar *commit* pass for the scattered
-//! first-writer-wins updates. After one warm-up solve the scratch solver
-//! performs **zero heap allocations** (`tests/no_alloc.rs`) and its output
-//! is **bit-identical** to the straightforward solver kept as a test
-//! oracle in `src/reference.rs`. [`cache::OptCache`] memoizes
-//! whole [`OfflineResult`]s across experiments keyed by a content hash of
+//! reads the prefix sums and cycle volume every [`Trace`] indexes at
+//! construction. Per surviving state the relaxation runs as a branch-free
+//! *compute* pass over all candidate rates (quality-minus-switch penalties
+//! come from a precomputed table, buffer binning uses an exact branchless
+//! `round`, and candidate value/buffer/clock/bin are staged in small arrays
+//! the compiler can vectorize) followed by a scalar *commit* pass for the
+//! scattered first-writer-wins updates. After one warm-up solve the scratch
+//! solver performs **zero heap allocations** (`tests/no_alloc.rs`) and its
+//! output is **bit-identical** to the straightforward solver kept as a test
+//! oracle in `src/reference.rs`. [`cache::OptCache`] memoizes whole
+//! [`OfflineResult`]s across experiments keyed by a content hash of
 //! `(trace, video, config)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use abr_core::advance_buffer;
-use abr_trace::{Trace, TraceScanCache};
+use abr_trace::Trace;
 use abr_video::{QoeWeights, Video};
 use std::cell::RefCell;
 
@@ -171,7 +170,7 @@ fn round_half_away(x: f64) -> f64 {
 /// Reusable workspace for the offline DP.
 ///
 /// All per-solve storage — the bitrate grid, per-layer state arrays, the
-/// flat parent slab, the live-state list and the trace scan cache — lives
+/// flat parent slab and the live-state list — lives
 /// here and is recycled between solves, so after a warm-up solve of the
 /// largest instance the solver allocates nothing. Results are bit-identical
 /// to the reference solver the crate's tests keep (`src/reference.rs`).
@@ -214,8 +213,6 @@ pub struct OfflineScratch {
     live: Vec<u32>,
     /// Flat parent slab, `k_total * states` entries.
     parents: Vec<u32>,
-    /// Prefix sums + cycle volume of the trace being solved.
-    scan: TraceScanCache,
     /// The last solve's result (buffers reused across solves).
     result: OfflineResult,
 }
@@ -279,7 +276,6 @@ impl OfflineScratch {
             ntime,
             live,
             parents,
-            scan,
             result,
         } = self;
         assert!(!rates.is_empty());
@@ -297,7 +293,6 @@ impl OfflineScratch {
         let states = nb * nr;
         let neg = f64::NEG_INFINITY;
 
-        scan.rebuild(trace);
         q_of.clear();
         q_of.extend(rates.iter().map(|&r| w.q(r)));
         // `q − λ·|q − q_prev|` is the leading subexpression of
@@ -385,7 +380,7 @@ impl OfflineScratch {
                 // Candidates the trace can never deliver come back as
                 // INFINITY; their value is `-inf` (or NaN when µ = 0), so the
                 // commit pass's `v > nqoe[s2]` can never accept them.
-                trace.times_to_download_with(scan, sizes, t0, downloads);
+                trace.times_to_download_with(sizes, t0, downloads);
                 // Compute pass: straight-line arithmetic per candidate (the
                 // `event` conditional is a select), so the compiler can
                 // vectorize it. The bin is staged as the rounded f64 — the

@@ -66,8 +66,7 @@ fn offline_solves_do_not_allocate_after_warmup() {
     let cfg = OfflineConfig::paper_default();
     let ts = traces();
     let mut scratch = OfflineScratch::new();
-    // Warm-up: one solve per trace sizes every buffer, including the trace
-    // scan cache at the largest segment count.
+    // Warm-up: one solve per trace sizes every buffer.
     for t in &ts {
         scratch.optimal_qoe(t, &video, &cfg);
     }

@@ -1,12 +1,12 @@
 //! Decision backends and predictors the service can host.
 //!
-//! [`Backend::build`] mirrors the harness registry's construction recipes
-//! exactly (same `paper_default()`s, same [`MpcConfig`] override pattern),
-//! so a remote session and its in-process twin run literally the same
-//! controller. Oracle predictors are deliberately absent: they need the
-//! future of the throughput trace, which only the client-side simulator
-//! knows — a server cannot host one, and rejecting them at registration
-//! keeps the differential guarantee honest.
+//! [`Backend::build`] and [`PredictorKind::build`] are the one construction
+//! recipe of each controller and predictor: the harness registry builds
+//! through them too, so a remote session and its in-process twin run
+//! literally the same controller. Oracle predictors are deliberately
+//! absent: they need the future of the throughput trace, which only the
+//! client-side simulator knows — a server cannot host one, and rejecting
+//! them at registration keeps the differential guarantee honest.
 
 use crate::proto::ProtoError;
 use abr_baselines::{Bola, BufferBased, DashJs, Festive, RateBased};
@@ -84,10 +84,9 @@ impl Backend {
         matches!(self, Backend::FastMpc)
     }
 
-    /// Builds a fresh controller; same recipe as the harness registry.
-    /// FastMPC accepts a table from either tier of the
-    /// [`abr_fastmpc::TableStore`] — hot (owned) or warm (mmap'd view) —
-    /// since the two decide bit-identically.
+    /// Builds a fresh controller. FastMPC accepts a table from either tier
+    /// of the [`abr_fastmpc::TableStore`] — hot (owned) or warm (mmap'd
+    /// view) — since the two decide bit-identically.
     pub fn build(
         self,
         table: Option<&TableHandle>,
@@ -216,7 +215,7 @@ impl PredictorKind {
         }
     }
 
-    /// Builds a fresh predictor; same recipe as the harness registry.
+    /// Builds a fresh predictor.
     pub fn build(self) -> Box<dyn Predictor> {
         match self {
             PredictorKind::Harmonic => Box::new(HarmonicMean::paper_default()),

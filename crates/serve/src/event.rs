@@ -70,12 +70,14 @@ impl EventServer {
 mod tests {
     use super::*;
     use crate::backend::Backend;
-    use crate::proto::{decode_bulk_reply, encode_bulk, DecisionRequest, LastChunk, SessionSpec};
+    use crate::proto::{
+        decode_bulk_reply, encode_bulk, DecisionReply, DecisionRequest, LastChunk, SessionSpec,
+    };
     use abr_net::http::{
         ChunkServer, HttpClient, Request, Response, MAX_LINE_BYTES, MAX_REQUEST_BODY_BYTES,
     };
     use abr_net::server::Service;
-    use abr_video::envivio_video;
+    use abr_video::{envivio_video, LiveSchedule, VideoBuilder};
     use std::io::{BufReader, Write as _};
     use std::net::TcpStream;
     use std::sync::atomic::Ordering;
@@ -162,6 +164,64 @@ mod tests {
         assert_eq!(post(&mut c, "/close", format!("sid {sid}\n")), 404);
         // Refusals never close the connection.
         assert_eq!(c.get("/metrics").unwrap().status, 200);
+    }
+
+    /// A FastMPC registration of a manifest shorter than the table's
+    /// 5-chunk horizon once panicked table generation on the loop thread
+    /// that handled it: the client got no answer and the next connect was
+    /// refused. On one loop, each such session, VOD and live, now decides
+    /// every chunk, and the loop goes on serving. A read timeout turns a
+    /// dead loop into a failure rather than a hang.
+    #[test]
+    fn short_fastmpc_manifests_decide_every_chunk_on_one_loop() {
+        let handle = EventServer::spawn(EventConfig::with_loops(1)).unwrap();
+        let connect = || {
+            let stream = TcpStream::connect(handle.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            HttpClient::new(stream)
+        };
+        let live = LiveSchedule {
+            encode_delay_secs: 2.0,
+            max_buffer_secs: 8.0,
+        };
+        for chunks in [1, 3, 4] {
+            let video = VideoBuilder::new(envivio_video().ladder().clone())
+                .chunks(chunks)
+                .cbr();
+            for live in [None, Some(live)] {
+                let what = format!("{chunks} chunks, live {live:?}");
+                let mut spec = SessionSpec::paper_default(Backend::FastMpc, video.clone());
+                spec.live = live;
+                let mut c = connect();
+                let resp = c.post("/session", spec.encode().as_bytes(), "text/plain");
+                let resp = resp.unwrap_or_else(|e| panic!("{what}: registration: {e}"));
+                let body = String::from_utf8_lossy(&resp.body).into_owned();
+                assert_eq!(resp.status, 200, "{what}: {body}");
+                let sid = body.trim().strip_prefix("sid ").unwrap().parse().unwrap();
+                let mut last = None;
+                for chunk in 0..chunks {
+                    let req = DecisionRequest {
+                        sid,
+                        chunk,
+                        buffer_secs: 2.0 * chunk as f64,
+                        last,
+                        now_secs: live.map(|_| 2.0 + 4.0 * chunk as f64),
+                    };
+                    let resp = c.post("/decision", req.encode().as_bytes(), "text/plain");
+                    let resp = resp.unwrap_or_else(|e| panic!("{what}, chunk {chunk}: {e}"));
+                    let body = String::from_utf8_lossy(&resp.body).into_owned();
+                    assert_eq!(resp.status, 200, "{what}, chunk {chunk}: {body}");
+                    last = Some(LastChunk {
+                        level: DecisionReply::decode(&body).unwrap().level,
+                        throughput_kbps: 2000.0,
+                        download_secs: 1.5,
+                    });
+                }
+            }
+        }
+        register(&mut connect(), Backend::Bb);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! response byte the decision service sends back, driven through
 //! `AbrService::handle` in process.
 //!
-//! The corpus: registrations missing each field (alone and in pairs, so
-//! the order of the checks shows), each field duplicated with a bad value
+//! The corpus: registrations missing each field (alone and in pairs, so the
+//! order of the checks shows), each field duplicated with a bad value
 //! before or after a good one, bad values in every numeric field, unknown
 //! backends, predictors, qualities and modes, lines without a space,
 //! missing and unparsable manifests, searches past the 5^9-plan bound,
@@ -12,12 +12,12 @@
 //! handler (predictor and error windows, EWMA weights, crowd priors,
 //! FastMPC buffer caps, reported throughputs), then reported buffers and
 //! QoE weights that are negative or not finite, then live clocks that are
-//! negative or not finite. Each newer group is
-//! appended after the older ones, so their answers never moved. The golden
-//! holds one line per request: a label and the whole response as written
-//! to the wire, escaped. To re-record after an intended change, delete
-//! `tests/golden/refusals.txt` and run this test: a missing golden is
-//! written, and the test then passes.
+//! negative or not finite, then FastMPC manifests shorter than the table's
+//! horizon. Each newer group is appended after the older ones, so their
+//! answers never moved. The golden holds one line per request: a label and
+//! the whole response as written to the wire, escaped. To re-record after
+//! an intended change, delete `tests/golden/refusals.txt` and run this
+//! test: a missing golden is written, and the test then passes.
 
 use abr_net::http::{Request, Response};
 use abr_serve::{encode_bulk, AbrService, Backend, DecisionRequest, LastChunk, SessionSpec};
@@ -608,6 +608,37 @@ fn bad_clocks(svc: &AbrService) -> String {
     out
 }
 
+/// FastMPC registrations of manifests shorter than the table's 5-chunk
+/// horizon, VOD and live, with one decision each. Table generation once
+/// asserted that the video covered the horizon, so such a registration
+/// panicked the handler (and, on an event loop, the loop's thread) while
+/// MPC registered the same body; every solve now clips the horizon to the
+/// video, as MPC's do.
+fn short_manifests(svc: &AbrService) -> String {
+    let mut out = String::new();
+    for chunks in [1, 3, 4] {
+        let video = VideoBuilder::new(envivio_video().ladder().clone())
+            .chunks(chunks)
+            .cbr();
+        for live in [false, true] {
+            let mut spec = live_spec(Backend::FastMpc);
+            spec.bottleneck = None;
+            if !live {
+                spec.live = None;
+            }
+            spec.video = video.clone().into();
+            let mode = if live { "live" } else { "vod" };
+            let label = format!("session fastmpc {mode} {chunks} chunks");
+            let registered = answer(svc, &label, "/session", spec.encode().as_bytes());
+            let [first, _] = chunk_requests(sid_in(&registered), live, 3.0);
+            out += &registered;
+            let label = format!("decision fastmpc {mode} {chunks} chunks chunk 0");
+            out += &answer(svc, &label, "/decision", first.encode().as_bytes());
+        }
+    }
+    out
+}
+
 #[test]
 fn refusals_match_the_golden() {
     let svc = AbrService::new(4);
@@ -616,7 +647,8 @@ fn refusals_match_the_golden() {
         + &hostile_values(&svc)
         + &bad_buffers(&svc)
         + &bad_weights(&svc)
-        + &bad_clocks(&svc);
+        + &bad_clocks(&svc)
+        + &short_manifests(&svc);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/refusals.txt");
     let Ok(expected) = std::fs::read_to_string(&path) else {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();

@@ -28,4 +28,4 @@ pub mod stats;
 mod trace;
 
 pub use datasets::{Dataset, FccConfig, HsdpaConfig, SyntheticConfig};
-pub use trace::{Trace, TraceCursor, TraceError, TraceScanCache};
+pub use trace::{Trace, TraceCursor, TraceError};

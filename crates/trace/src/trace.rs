@@ -29,51 +29,6 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Precomputed scan state for the batched download-time kernel
-/// ([`Trace::times_to_download_with`]).
-///
-/// The batched kernel's cost has two parts: summing one cycle's volume and
-/// walking segments from the cycle start until the request window begins.
-/// Both depend only on the trace, not on the request, so a caller issuing
-/// many requests against one trace (the offline DP issues one per surviving
-/// state per chunk) builds this cache once and reuses it.
-///
-/// `prefix_secs[i]` is the left-to-right running sum `d_0 + … + d_i` — the
-/// exact `pos` value the plain scan would carry at segment `i`, bit for
-/// bit, which is what makes the binary-searched skip produce byte-identical
-/// download times.
-#[derive(Debug, Clone, Default)]
-pub struct TraceScanCache {
-    prefix_secs: Vec<f64>,
-    cycle_kbits: f64,
-}
-
-impl TraceScanCache {
-    /// Builds the cache for `trace`.
-    pub fn new(trace: &Trace) -> Self {
-        let mut cache = Self::default();
-        cache.rebuild(trace);
-        cache
-    }
-
-    /// Re-targets the cache at `trace`, reusing the existing allocation
-    /// (no heap traffic once capacity covers the largest trace seen).
-    pub fn rebuild(&mut self, trace: &Trace) {
-        self.prefix_secs.clear();
-        let mut acc = 0.0_f64;
-        for d in &trace.durations {
-            acc += d;
-            self.prefix_secs.push(acc);
-        }
-        self.cycle_kbits = trace
-            .durations
-            .iter()
-            .zip(&trace.kbps)
-            .map(|(d, c)| d * c)
-            .sum();
-    }
-}
-
 /// A piecewise-constant network-throughput signal `C_t`.
 ///
 /// The trace is a sequence of `(duration_secs, kbps)` segments starting at
@@ -522,67 +477,33 @@ impl Trace {
     /// the hot primitive of the offline dynamic program, which evaluates
     /// every candidate bitrate from a common state.
     pub fn times_to_download(&self, kbits_ascending: &[f64], t0: f64) -> Vec<f64> {
-        let cache = TraceScanCache::new(self);
         let mut out = Vec::new();
-        self.times_to_download_with(&cache, kbits_ascending, t0, &mut out);
+        self.times_to_download_with(kbits_ascending, t0, &mut out);
         out
     }
 
     /// Allocation-free core of [`times_to_download`](Self::times_to_download):
-    /// results are appended to `out` (which is cleared first), and the cycle
-    /// volume / segment prefix sums come from `cache` instead of being
-    /// recomputed per call. `cache` must have been built (or rebuilt) for
-    /// this trace. Output is bit-identical to `times_to_download`.
-    pub fn times_to_download_with(
-        &self,
-        cache: &TraceScanCache,
-        kbits_ascending: &[f64],
-        t0: f64,
-        out: &mut Vec<f64>,
-    ) {
+    /// results are written to `out` (which is cleared first), one per
+    /// target; a target a zero-volume cycle can never deliver takes
+    /// `INFINITY`. The cycle volume and segment prefix sums come from the
+    /// trace's construction-time index.
+    pub fn times_to_download_with(&self, kbits_ascending: &[f64], t0: f64, out: &mut Vec<f64>) {
         out.clear();
-        self.for_each_download_time(cache, kbits_ascending, t0, |_, dl| out.push(dl));
-        // Targets a zero-volume cycle can never deliver are reported as
-        // INFINITY rather than omitted.
-        if out.len() < kbits_ascending.len() {
-            out.resize(kbits_ascending.len(), f64::INFINITY);
-        }
-    }
-
-    /// Streaming form of [`times_to_download_with`](Self::times_to_download_with):
-    /// `emit(i, dl)` is called with each target's download time, in index
-    /// order, as the single trace pass reaches it. Targets a zero-volume
-    /// cycle cannot deliver are never emitted (their time is infinite).
-    /// Consumers that fold each time into an update the moment it is known
-    /// (the offline DP) skip the round-trip through an output buffer.
-    pub fn for_each_download_time(
-        &self,
-        cache: &TraceScanCache,
-        kbits_ascending: &[f64],
-        t0: f64,
-        mut emit: impl FnMut(usize, f64),
-    ) {
         assert!(t0 >= 0.0 && t0.is_finite(), "invalid start time {t0}");
         debug_assert!(
             kbits_ascending.windows(2).all(|w| w[1] >= w[0]),
             "sizes must be ascending"
         );
-        debug_assert_eq!(
-            cache.prefix_secs.len(),
-            self.durations.len(),
-            "scan cache does not match this trace"
-        );
         // Serve zero-size requests immediately.
         let mut served = 0;
         while served < kbits_ascending.len() && kbits_ascending[served] == 0.0 {
-            emit(served, 0.0);
+            out.push(0.0);
             served += 1;
         }
-        if served == kbits_ascending.len() {
-            return;
-        }
-        let cycle_kbits = cache.cycle_kbits;
-        if cycle_kbits <= 0.0 {
+        let cycle_kbits = self.index.cycle_kbits;
+        if served == kbits_ascending.len() || cycle_kbits <= 0.0 {
+            // A zero-volume cycle never delivers what is left.
+            out.resize(kbits_ascending.len(), f64::INFINITY);
             return;
         }
         // Whole-cycle fast-forward shared by all targets (based on the
@@ -595,12 +516,12 @@ impl Trace {
         // walk `pos = ((0 + d_0) + d_1) + …` past every earlier segment;
         // `prefix_secs` holds exactly those partial sums, so the binary
         // search lands on the same segment with the same `pos` bits.
-        let start = cache.prefix_secs.partition_point(|&p| p <= cursor_start);
+        let start = self.index.prefix_secs.partition_point(|&p| p <= cursor_start);
         let mut cursor = cursor_start;
         let mut pos = if start == 0 {
             0.0
         } else {
-            cache.prefix_secs[start - 1]
+            self.index.prefix_secs[start - 1]
         };
         let nseg = self.durations.len();
         let mut i = if start == nseg { 0 } else { start };
@@ -619,10 +540,10 @@ impl Trace {
                 while served < kbits_ascending.len() {
                     let need = kbits_ascending[served] - delivered;
                     if need <= seg_kbits + 1e-12 && c > 0.0 {
-                        emit(served, elapsed + (need.max(0.0)) / c);
+                        out.push(elapsed + (need.max(0.0)) / c);
                         served += 1;
                     } else if need <= 1e-12 {
-                        emit(served, elapsed);
+                        out.push(elapsed);
                         served += 1;
                     } else {
                         break;
@@ -997,40 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_cache_prefix_matches_plain_scan_bits() {
-        // Irregular durations so the prefix sums exercise fp accumulation.
-        let t = Trace::new(vec![
-            (1.7, 900.0),
-            (0.3, 0.0),
-            (4.9, 2400.0),
-            (2.2, 130.0),
-        ])
-        .unwrap();
-        let cache = TraceScanCache::new(&t);
-        let sizes = [0.0, 500.0, 1_500.0, 9_000.0, 40_000.0];
-        for t0 in [0.0, 0.05, 1.7, 3.31, 8.99, 27.4] {
-            let plain = t.times_to_download(&sizes, t0);
-            let mut out = Vec::new();
-            t.times_to_download_with(&cache, &sizes, t0, &mut out);
-            for (a, b) in plain.iter().zip(&out) {
-                assert_eq!(a.to_bits(), b.to_bits(), "t0={t0}");
-            }
-        }
-    }
-
-    #[test]
-    fn scan_cache_rebuild_retargets() {
-        let a = steps();
-        let b = Trace::new(vec![(3.0, 250.0), (7.0, 4_000.0)]).unwrap();
-        let mut cache = TraceScanCache::new(&a);
-        cache.rebuild(&b);
-        let mut out = Vec::new();
-        b.times_to_download_with(&cache, &[1_000.0, 5_000.0], 2.0, &mut out);
-        let plain = b.times_to_download(&[1_000.0, 5_000.0], 2.0);
-        assert_eq!(out, plain);
-    }
-
-    #[test]
     fn cursor_reuse_matches_fresh_cursor() {
         let t = steps();
         let mut cur = TraceCursor::new();
@@ -1213,18 +1100,17 @@ mod tests {
         });
     }
 
-    /// The cached scan is bit-identical to the allocating one on random
-    /// traces, start times and target lists.
+    /// The allocation-free scan into a reused buffer is bit-identical to
+    /// the allocating one on random traces, start times and target lists.
     #[test]
-    fn cached_scan_is_bit_identical() {
+    fn reused_buffer_scan_is_bit_identical() {
         check(256, |rng| {
             let t = Trace::new(random_segments(rng, 10)).unwrap();
             let t0 = rng.range(0.0..60.0) % (2.0 * t.cycle_secs());
             let sizes = sorted_sizes(rng, 0..10, 150_000.0);
             let plain = t.times_to_download(&sizes, t0);
-            let cache = TraceScanCache::new(&t);
             let mut out = vec![0.0; 3]; // stale contents must be cleared
-            t.times_to_download_with(&cache, &sizes, t0, &mut out);
+            t.times_to_download_with(&sizes, t0, &mut out);
             assert_eq!(plain.len(), out.len());
             for (a, b) in plain.iter().zip(&out) {
                 assert_eq!(a.to_bits(), b.to_bits());

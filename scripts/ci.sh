@@ -145,14 +145,20 @@ echo "== differential gate: indexed trace kernels vs naive oracles =="
 # search must match its preserved reference bit for bit (10,000 seeded
 # cases, then solves in session and same-start order, where the previous
 # plan seeds the incumbent), both of its bounds must sit above the optimum,
-# its work per solve on a fixed replay must stay under the committed
-# ceiling, and a solve must stay off the allocator (abr-core).
+# its work per solve on a fixed replay and per cell of a FastMPC row sweep
+# must stay under the committed ceilings (the sweep also below cold
+# solves), and a solve must stay off the allocator (abr-core). Every cell
+# of a generated FastMPC table must equal a cold solve from a fresh
+# scratch at its centroids (abr-fastmpc, random ladders, bins, horizons,
+# live slices and weights).
 cargo test --locked --offline -p abr-core -q --lib -- --exact \
   mpc::reference::tests::table_driven_search_matches_the_reference_bit_for_bit \
   mpc::reference::tests::seeded_solves_match_the_reference_in_session_and_same_start_order \
   mpc::reference::tests::the_bound_at_the_root_is_at_least_the_optimum \
-  mpc::tests::search_work_on_a_fixed_replay_stays_under_its_ceiling
+  mpc::tests::search_work_on_a_fixed_replay_stays_under_its_ceiling \
+  mpc::tests::row_sweep_work_stays_under_its_ceiling_and_below_cold_solves
 cargo test --locked --offline -p abr-core -q --test no_alloc
+cargo test --locked --offline -p abr-fastmpc -q --test generation_equivalence
 cargo test --locked --offline -p abr-trace -q
 cargo test --locked --offline -p abr-sim -q --test no_alloc
 cargo test --locked --offline -p abr-serve -q --test no_alloc
