@@ -49,7 +49,9 @@
 //!
 //! - once per solve, `dl[d][l] = d_{start+d}(l) / C`, the download times,
 //!   the rebuffer bound's floor `min_suffix_kbits[d] / C` and the budget
-//!   bound's `budget[d]`;
+//!   bound's `budget[d]` (a FastMPC table fills these once per column of
+//!   cells that share them, [`HorizonTables`], and solves each cell with
+//!   [`optimize_first_in`]);
 //! - once per ladder, cached in the scratch and rebuilt only when the
 //!   ladder's quality values or `λ` change: `qsw[p][l] = q_l − λ·|q_l − q_p|`
 //!   (row `n`: `q_l − λ·0`), and the quality part of the switching bound per
@@ -202,17 +204,17 @@ pub fn plan_qoe(
 /// measurable pruning.
 pub const BOUND_SLACK: f64 = 1e-6;
 
-/// Reusable workspace for [`optimize_first_with`] and
-/// [`optimize_first_live`].
+/// Reusable workspace for [`optimize_first_with`],
+/// [`optimize_first_in`] and [`optimize_first_live`].
 ///
 /// Besides the plan buffers it holds the search's tables (see the module
-/// docs). The per-solve tables are refilled in place by every solve; the
-/// per-ladder tables are rebuilt only when the ladder's quality values or
-/// `λ` change, so a scratch held across the solves of one session or one
-/// FastMPC table builds them once. The plan of the most recent solve stays
-/// in the scratch and seeds the next solve's incumbent (see the module
-/// docs). After the first solve at a given horizon and ladder size, a solve
-/// allocates nothing.
+/// docs). The per-solve tables are refilled in place by every solve that
+/// is not handed [`HorizonTables`]; the per-ladder tables are rebuilt only
+/// when the ladder's quality values or `λ` change, so a scratch held across
+/// the solves of one session or one FastMPC table builds them once. The
+/// plan of the most recent solve stays in the scratch and seeds the next
+/// solve's incumbent (see the module docs). After the first solve at a
+/// given horizon and ladder size, a solve allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct HorizonScratch {
     best: Vec<LevelIdx>,
@@ -244,6 +246,147 @@ impl HorizonScratch {
     pub fn plan(&self) -> &[LevelIdx] {
         &self.best
     }
+}
+
+/// The per-solve tables of one solve, filled ahead: the download times,
+/// the rebuffer bound's floor and the budget bound's buffer-free part
+/// (see [`HorizonScratch`]). They depend on the chunks planned, the
+/// predicted throughput, the buffer cap and the weights, but not on the
+/// buffer level or the previous level, so every (buffer, previous level)
+/// cell of one FastMPC column shares them: a table fills them once per
+/// column and solves each cell against them with [`optimize_first_in`].
+#[derive(Debug, Clone, Default)]
+pub struct HorizonTables {
+    /// The first chunk planned, and how many (the clipped horizon).
+    start: usize,
+    len: usize,
+    buffer_max_secs: f64,
+    /// `C / L`.
+    rate: f64,
+    dl: Vec<f64>,
+    min_dl: Vec<f64>,
+    budget: Vec<f64>,
+    /// `q_l` per level.
+    level_q: Vec<f64>,
+}
+
+impl HorizonTables {
+    /// Empty tables; [`fill`](Self::fill) sizes them, and refills reuse
+    /// their buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fills the tables for solves of `horizon` chunks from `start` (the
+    /// horizon clipped to the video) at `throughput_kbps`, with a
+    /// `buffer_max_secs` cap, under `weights`.
+    pub fn fill(
+        &mut self,
+        video: &Video,
+        start: usize,
+        horizon: usize,
+        buffer_max_secs: f64,
+        throughput_kbps: f64,
+        weights: &QoeWeights,
+    ) {
+        let len = clipped_horizon(video, start, horizon, throughput_kbps);
+        self.level_q.clear();
+        self.level_q
+            .extend(video.ladder().levels().iter().map(|&kbps| weights.q(kbps)));
+        let solve = Solve {
+            video,
+            start,
+            len,
+            buffer_max_secs,
+            throughput_kbps,
+            weights,
+        };
+        self.rate = solve.fill(&mut self.dl, &mut self.min_dl, &mut self.budget, &self.level_q);
+        self.start = start;
+        self.len = len;
+        self.buffer_max_secs = buffer_max_secs;
+    }
+}
+
+/// What one solve's per-solve tables are filled for.
+struct Solve<'a> {
+    video: &'a Video,
+    start: usize,
+    /// The clipped horizon.
+    len: usize,
+    buffer_max_secs: f64,
+    throughput_kbps: f64,
+    weights: &'a QoeWeights,
+}
+
+impl Solve<'_> {
+    /// Fills the per-solve tables, given each level's `q_l`; returns
+    /// `C / L`.
+    fn fill(
+        &self,
+        dl: &mut Vec<f64>,
+        min_dl: &mut Vec<f64>,
+        budget: &mut Vec<f64>,
+        level_q: &[f64],
+    ) -> f64 {
+        let Solve {
+            video,
+            start,
+            len,
+            buffer_max_secs,
+            throughput_kbps,
+            weights,
+        } = *self;
+        let n = video.ladder().len();
+        let chunk_secs = video.chunk_secs();
+        dl.clear();
+        for k in start..start + len {
+            dl.extend(video.chunk_sizes_kbits(k).iter().map(|s| s / throughput_kbps));
+        }
+        // The cheapest encoding of chunks start+d .. start+len-1, summed from
+        // the end: the floor on future download work in the rebuffer bound.
+        // Sizes never fall with the level, so level 0 is a chunk's cheapest.
+        min_dl.clear();
+        min_dl.resize(len, 0.0);
+        let mut acc = 0.0;
+        for d in (0..len).rev() {
+            acc += video.chunk_size_kbits(start + d, LevelIdx(0));
+            min_dl[d] = acc / throughput_kbps;
+        }
+        // The throughput-budget bound's buffer-free part, summed from the end
+        // (see `Below::budget` for the conditions it needs).
+        let rate = throughput_kbps / chunk_secs;
+        budget.clear();
+        budget.resize(len, f64::INFINITY);
+        if rate <= weights.mu
+            && weights.lambda >= 0.0
+            && weights.mu_event >= 0.0
+            && chunk_secs <= buffer_max_secs
+        {
+            let mut acc = 0.0;
+            for d in (0..len).rev() {
+                let row = &dl[d * n..(d + 1) * n];
+                let mut best_chunk = f64::NEG_INFINITY;
+                for (&q, &t) in level_q.iter().zip(row) {
+                    best_chunk = best_chunk.max(q - rate * t);
+                }
+                acc += best_chunk;
+                budget[d] = acc + throughput_kbps * (len - d - 1) as f64;
+            }
+        }
+        rate
+    }
+}
+
+/// Validates a solve's arguments; the horizon clipped to the video.
+fn clipped_horizon(video: &Video, start: usize, horizon: usize, throughput_kbps: f64) -> usize {
+    assert!(horizon > 0, "horizon must be positive");
+    assert!(start < video.num_chunks(), "start chunk beyond video end");
+    assert!(
+        throughput_kbps > 0.0 && throughput_kbps.is_finite(),
+        "throughput must be positive, got {throughput_kbps}"
+    );
+    horizon.min(video.num_chunks() - start)
 }
 
 /// What the searches of one scratch have done, counted in test builds
@@ -616,16 +759,39 @@ fn prev_row(video: &Video, prev_level: Option<LevelIdx>) -> usize {
     }
 }
 
-/// Validates arguments, refreshes the scratch's tables, and assembles a
-/// [`Search`] over them; its `len` is the clipped horizon.
-///
-/// The previous solve's plan is realigned to this solve's chunks: its
-/// levels from chunk `start` on, up to the clipped horizon, lead `current`
-/// ([`Search::seed_len`] of them), and [`Search::seed_value`] completes the
-/// rest greedily. That is the same plan at the same start (a FastMPC row's
-/// next cell, a startup grid point) and the plan shifted by one chunk at
-/// the next decision of a session. A plan that does not cover `start`, or
-/// leaves the ladder, leaves nothing, and the seed is the greedy plan.
+/// Realigns the previous solve's plan to this solve's chunks: its levels
+/// from chunk `start` on, up to the clipped horizon `len`, lead `current`
+/// ([`Search::seed_len`] of them, returned), and [`Search::seed_value`]
+/// completes the rest greedily. That is the same plan at the same start (a
+/// FastMPC row's next cell, a startup grid point) and the plan shifted by
+/// one chunk at the next decision of a session. A plan that does not cover
+/// `start`, or leaves the ladder, leaves nothing, and the seed is the
+/// greedy plan.
+fn seed_plan(
+    best: &mut Vec<LevelIdx>,
+    current: &mut Vec<LevelIdx>,
+    best_start: &mut usize,
+    start: usize,
+    len: usize,
+    n: usize,
+) -> usize {
+    let kept = (start.checked_sub(*best_start))
+        .and_then(|shift| best.get(shift..))
+        .filter(|kept| kept.iter().all(|l| l.get() < n))
+        .unwrap_or_default();
+    let seed_len = kept.len().min(len);
+    current.clear();
+    current.extend_from_slice(&kept[..seed_len]);
+    current.resize(len, LevelIdx(0));
+    best.clear();
+    best.resize(len, LevelIdx(0));
+    *best_start = start;
+    seed_len
+}
+
+/// Validates arguments, refreshes the scratch's tables (the ladder's, then
+/// the plan's, then this solve's own), and assembles a [`Search`] over
+/// them; its `len` is the clipped horizon.
 fn prepare<'a>(
     scratch: &'a mut HorizonScratch,
     video: &Video,
@@ -635,15 +801,7 @@ fn prepare<'a>(
     throughput_kbps: f64,
     weights: &'a QoeWeights,
 ) -> Search<'a> {
-    assert!(horizon > 0, "horizon must be positive");
-    assert!(start < video.num_chunks(), "start chunk beyond video end");
-    assert!(
-        throughput_kbps > 0.0 && throughput_kbps.is_finite(),
-        "throughput must be positive, got {throughput_kbps}"
-    );
-    let len = horizon.min(video.num_chunks() - start);
-    let n = video.ladder().len();
-    let chunk_secs = video.chunk_secs();
+    let len = clipped_horizon(video, start, horizon, throughput_kbps);
     let HorizonScratch {
         best,
         current,
@@ -656,58 +814,23 @@ fn prepare<'a>(
         work,
     } = scratch;
     ladder.refresh(video, weights, len);
-    let kept = (start.checked_sub(*best_start))
-        .and_then(|shift| best.get(shift..))
-        .filter(|kept| kept.iter().all(|l| l.get() < n))
-        .unwrap_or_default();
-    let seed_len = kept.len().min(len);
-    current.clear();
-    current.extend_from_slice(&kept[..seed_len]);
-    current.resize(len, LevelIdx(0));
-    best.clear();
-    best.resize(len, LevelIdx(0));
-    *best_start = start;
-    dl.clear();
-    for k in start..start + len {
-        dl.extend(video.chunk_sizes_kbits(k).iter().map(|s| s / throughput_kbps));
-    }
-    // The cheapest encoding of chunks start+d .. start+len-1, summed from
-    // the end: the floor on future download work in the rebuffer bound.
-    // Sizes never fall with the level, so level 0 is a chunk's cheapest.
-    min_dl.clear();
-    min_dl.resize(len, 0.0);
-    let mut acc = 0.0;
-    for d in (0..len).rev() {
-        acc += video.chunk_size_kbits(start + d, LevelIdx(0));
-        min_dl[d] = acc / throughput_kbps;
-    }
-    // The throughput-budget bound's buffer-free part, summed from the end
-    // (see `Below::budget` for the conditions it needs).
-    let rate = throughput_kbps / chunk_secs;
-    budget.clear();
-    budget.resize(len, f64::INFINITY);
-    if rate <= weights.mu
-        && weights.lambda >= 0.0
-        && weights.mu_event >= 0.0
-        && chunk_secs <= buffer_max_secs
-    {
-        let mut acc = 0.0;
-        for d in (0..len).rev() {
-            let row = &dl[d * n..(d + 1) * n];
-            let mut best_chunk = f64::NEG_INFINITY;
-            for (&q, &t) in ladder.level_q.iter().zip(row) {
-                best_chunk = best_chunk.max(q - rate * t);
-            }
-            acc += best_chunk;
-            budget[d] = acc + throughput_kbps * (len - d - 1) as f64;
-        }
-    }
+    let n = video.ladder().len();
+    let seed_len = seed_plan(best, current, best_start, start, len, n);
+    let solve = Solve {
+        video,
+        start,
+        len,
+        buffer_max_secs,
+        throughput_kbps,
+        weights,
+    };
+    let rate = solve.fill(dl, min_dl, budget, &ladder.level_q);
     Search {
         weights,
         n,
         len,
         buffer_max: buffer_max_secs,
-        chunk_secs,
+        chunk_secs: video.chunk_secs(),
         rate,
         dl,
         min_dl,
@@ -723,13 +846,63 @@ fn prepare<'a>(
     }
 }
 
+/// [`prepare`] for a solve handed its per-solve tables.
+fn prepare_in<'a>(
+    scratch: &'a mut HorizonScratch,
+    tables: &'a HorizonTables,
+    video: &Video,
+    weights: &'a QoeWeights,
+) -> Search<'a> {
+    let n = video.ladder().len();
+    assert_eq!(tables.dl.len(), tables.len * n, "tables filled for another ladder");
+    let HorizonScratch {
+        best,
+        current,
+        best_start,
+        ladder,
+        #[cfg(test)]
+        work,
+        ..
+    } = scratch;
+    ladder.refresh(video, weights, tables.len);
+    let seed_len = seed_plan(best, current, best_start, tables.start, tables.len, n);
+    Search {
+        weights,
+        n,
+        len: tables.len,
+        buffer_max: tables.buffer_max_secs,
+        chunk_secs: video.chunk_secs(),
+        rate: tables.rate,
+        dl: &tables.dl,
+        min_dl: &tables.min_dl,
+        budget: &tables.budget,
+        qsw: &ladder.qsw,
+        bq: &ladder.bq,
+        seed_len,
+        best_qoe: f64::NEG_INFINITY,
+        best,
+        current,
+        #[cfg(test)]
+        work,
+    }
+}
+
+impl Search<'_> {
+    /// Warm-starts from a real plan, backed off below the optimum, and
+    /// searches: the optimal QoE.
+    fn solve_first(&mut self, buffer: f64, prev: usize) -> f64 {
+        self.best_qoe = self.seed_value(buffer, prev) - BOUND_SLACK;
+        self.solve(buffer, prev);
+        self.best_qoe
+    }
+}
+
 /// The allocation-free horizon solve: identical semantics to
 /// [`optimize_horizon`] but writing the plan into `scratch` (read it back
 /// via [`HorizonScratch::plan`]) and returning only the receding-horizon
 /// output — the first level — plus the optimal QoE.
 ///
-/// This is the online hot path: MPC and RobustMPC call it once per chunk,
-/// table generation calls it tens of thousands of times per table.
+/// This is the online hot path: MPC and RobustMPC call it once per chunk.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_first_with(
     scratch: &mut HorizonScratch,
@@ -743,7 +916,7 @@ pub fn optimize_first_with(
     weights: &QoeWeights,
 ) -> (LevelIdx, f64) {
     let prev = prev_row(video, prev_level);
-    let mut s = prepare(
+    let qoe = prepare(
         scratch,
         video,
         start,
@@ -751,11 +924,27 @@ pub fn optimize_first_with(
         buffer_max_secs,
         throughput_kbps,
         weights,
-    );
-    // Warm-start from a real plan, backed off below the optimum.
-    s.best_qoe = s.seed_value(buffer_secs, prev) - BOUND_SLACK;
-    s.solve(buffer_secs, prev);
-    let qoe = s.best_qoe;
+    )
+    .solve_first(buffer_secs, prev);
+    (scratch.best[0], qoe)
+}
+
+/// [`optimize_first_with`] against per-solve tables filled ahead
+/// ([`HorizonTables::fill`], for this `video` and these `weights`): the
+/// first level and the optimal QoE of the solve they were filled for, from
+/// `buffer_secs` after `prev_level`, the plan left in `scratch`. Table
+/// generation fills one set of tables per column and calls this tens of
+/// thousands of times per table.
+pub fn optimize_first_in(
+    scratch: &mut HorizonScratch,
+    tables: &HorizonTables,
+    video: &Video,
+    buffer_secs: f64,
+    prev_level: Option<LevelIdx>,
+    weights: &QoeWeights,
+) -> (LevelIdx, f64) {
+    let prev = prev_row(video, prev_level);
+    let qoe = prepare_in(scratch, tables, video, weights).solve_first(buffer_secs, prev);
     (scratch.best[0], qoe)
 }
 

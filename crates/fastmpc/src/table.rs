@@ -3,7 +3,7 @@
 
 use crate::bins::BinSpec;
 use crate::rle::Rle;
-use abr_core::mpc::{optimize_first_with, HorizonScratch};
+use abr_core::mpc::{optimize_first_in, HorizonScratch, HorizonTables};
 use abr_video::{LevelIdx, QoeWeights, Video};
 
 /// Configuration of the FastMPC table.
@@ -98,12 +98,15 @@ impl FastMpcTable {
     ///
     /// `video` supplies the ladder and chunk sizes; the table represents the
     /// steady state, so solves start at chunk 0 with the full horizon,
-    /// clipped to the video as every solve is. (Buffer, previous-level)
-    /// rows fan out across threads via `abr-par`, and each row solves its
-    /// throughput bins in order in one [`HorizonScratch`], so a cell's
-    /// search starts from its neighbour's plan as incumbent. The incumbent
-    /// only speeds the proof of optimality: every cell equals a cold solve
-    /// from a fresh scratch.
+    /// clipped to the video as every solve is. A solve's download-time and
+    /// bound tables depend only on the slice's horizon and the throughput
+    /// centroid, so they are filled once per (slice, throughput bin)
+    /// column ([`HorizonTables`]) and shared by every cell of it.
+    /// (Buffer, previous-level) rows fan out across threads via
+    /// `abr-par`, and each row solves its throughput bins in order in one
+    /// [`HorizonScratch`], so a cell's search starts from its neighbour's
+    /// plan as incumbent. The incumbent only speeds the proof of
+    /// optimality: every cell equals a cold solve from a fresh scratch.
     pub fn generate(video: &Video, buffer_max_secs: f64, cfg: TableConfig) -> Self {
         let num_levels = video.ladder().len();
         assert!(num_levels <= u8::MAX as usize, "ladder too large for u8 storage");
@@ -115,28 +118,35 @@ impl FastMpcTable {
         let n_rows = cfg.horizon_slices * slice_rows;
         let row_len = cfg.throughput_bins.count;
 
+        // Column `s·row_len + c`: slice `s`'s horizon at throughput bin `c`.
+        let columns: Vec<HorizonTables> = (0..cfg.horizon_slices * row_len)
+            .map(|i| {
+                let mut tables = HorizonTables::new();
+                tables.fill(
+                    video,
+                    0,
+                    cfg.horizon - i / row_len,
+                    buffer_max_secs,
+                    cfg.throughput_bins.centroid(i % row_len),
+                    &cfg.weights,
+                );
+                tables
+            })
+            .collect();
         // Slice-major: slice `s` (effective horizon `horizon - s`) is a
         // contiguous block of rows, so slice 0 is byte-identical to the
         // single-slice (VOD) table over the same bins.
         let make_row = |r: usize| -> Vec<u8> {
-            let horizon = cfg.horizon - r / slice_rows;
+            let slice = &columns[r / slice_rows * row_len..][..row_len];
             let b = (r % slice_rows) / num_levels;
             let prev = Some(LevelIdx(r % num_levels));
             let buffer = cfg.buffer_bins.centroid(b).min(buffer_max_secs);
             let mut scratch = HorizonScratch::new();
-            (0..row_len)
-                .map(|c| {
-                    let (first, _) = optimize_first_with(
-                        &mut scratch,
-                        video,
-                        0,
-                        horizon,
-                        buffer,
-                        buffer_max_secs,
-                        prev,
-                        cfg.throughput_bins.centroid(c),
-                        &cfg.weights,
-                    );
+            slice
+                .iter()
+                .map(|tables| {
+                    let (first, _) =
+                        optimize_first_in(&mut scratch, tables, video, buffer, prev, &cfg.weights);
                     first.get() as u8
                 })
                 .collect()

@@ -16,12 +16,14 @@
 //!
 //! Every entry point — the one-shot [`Request::read_from`] and
 //! [`Response::read_from`], and the incremental [`RequestParser`] — runs
-//! the same head parser. A head scan first finds the blank line that ends
-//! the head; the parser then walks those bytes in place, line by line,
-//! and records where the method, path, header block and declared body
-//! length lie. A parsed [`Request`] is one owned buffer (the message as
-//! received, header names lowercased) plus those offsets, so parsing a
-//! request costs a single allocation.
+//! the same head parser, one pass over the head's lines as they arrive: it
+//! finds the blank line that ends the head, lowercases header names in
+//! place, and records where the method, path, header block and declared
+//! body length lie, and whether the client asked to close. A parsed
+//! [`Request`] is the message as received (header names lowercased) plus
+//! those offsets: borrowed from the parser's buffer when it comes from
+//! [`RequestParser`], so framing a request there copies and allocates
+//! nothing, and owned when it comes from [`Request::read_from`].
 
 use crate::mpd;
 use abr_video::{LevelIdx, Video};
@@ -95,7 +97,7 @@ pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 pub const MAX_REQUEST_BODY_BYTES: usize = 1024 * 1024;
 
 // ---------------------------------------------------------------------------
-// The head parser — shared by every entry point
+// The head parser — one pass, shared by every entry point
 // ---------------------------------------------------------------------------
 
 /// A byte range of the message buffer a head was parsed from.
@@ -139,99 +141,411 @@ struct Head<S> {
     headers: Span,
     /// The value of the first `content-length` header, if any.
     content_length: Option<Span>,
+    /// Whether the first `connection` header says `close`.
+    close: bool,
     /// Bytes through the blank line.
     len: usize,
 }
 
-/// The line starting at byte `at`: its text without trailing `\r`/`\n`,
-/// and where the next line starts. Lines are checked in the order a line
-/// reader would report them: UTF-8 first, then length.
-fn next_line(bytes: &[u8], at: usize) -> Result<(&str, usize), HttpError> {
-    let end = bytes[at..]
-        .iter()
-        .position(|&b| b == b'\n')
-        .map_or(bytes.len(), |i| at + i + 1);
-    let raw = std::str::from_utf8(&bytes[at..end]).map_err(|_| {
-        // Worded as `BufRead::read_line` words it.
-        HttpError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "stream did not contain valid UTF-8",
-        ))
-    })?;
-    if raw.len() > MAX_LINE_BYTES {
-        return Err(HttpError::Malformed(format!("line exceeds {MAX_LINE_BYTES} bytes")));
-    }
-    let mut len = raw.len();
-    while len > 0 && matches!(raw.as_bytes()[len - 1], b'\r' | b'\n') {
-        len -= 1;
-    }
-    Ok((&raw[..len], end))
+/// Parses a start line, given its bytes (trailing `\r`/`\n` stripped,
+/// valid UTF-8), whether they are all ASCII, and their offset in the
+/// buffer.
+type StartLine<S> = fn(&[u8], bool, usize) -> Result<S, HttpError>;
+
+/// A size cap a head broke before its blank line arrived.
+#[derive(Debug, Clone, Copy)]
+enum Cap {
+    /// A line whose content (terminator excluded) passes
+    /// [`MAX_LINE_BYTES`].
+    Line,
+    /// More than [`HEAD_SCAN_LIMIT`] head bytes.
+    Head,
 }
 
-/// Parses the head at the front of `bytes` in place: the start line (via
-/// `start_line`, given the line and its offset), then header lines up to
-/// the first blank one. Header names are lowercased where they lie. A head
-/// that ends before its blank line is [`HttpError::ConnectionClosed`]; a
-/// final line without `\n` still counts as a line.
-fn parse_head<S>(
-    bytes: &mut [u8],
-    start_line: impl FnOnce(&str, usize) -> Result<S, HttpError>,
-) -> Result<Head<S>, HttpError> {
-    let (line, mut at) = next_line(bytes, 0)?;
-    let start = start_line(line, 0)?;
-    let headers_at = at;
-    let mut accounted = 0usize;
-    let mut content_length = None;
-    while at < bytes.len() {
-        let line_at = at;
-        let (line, next) = next_line(bytes, at)?;
-        at = next;
-        if line.is_empty() {
-            let headers = Span {
-                start: headers_at,
-                end: line_at,
-            };
-            return Ok(Head {
-                start,
-                headers,
-                content_length,
-                len: at,
-            });
+impl Cap {
+    fn error(self) -> HttpError {
+        HttpError::Malformed(match self {
+            Cap::Line => format!("line exceeds {MAX_LINE_BYTES} bytes"),
+            Cap::Head => format!("headers exceed {MAX_HEADER_BYTES} bytes"),
+        })
+    }
+}
+
+/// Where framing stopped on a head that broke a cap: the bytes scanned,
+/// through the first one past the cap, and whether the line holding that
+/// byte was all `\r` so far. A resync to the refused head's blank line
+/// starts from there.
+#[derive(Debug, Clone, Copy)]
+struct Overflow {
+    cap: Cap,
+    scanned: usize,
+    all_cr: bool,
+}
+
+/// Hard ceiling on head bytes before framing gives up: the head parser
+/// would reject the block by this point anyway (`MAX_HEADER_BYTES` of
+/// accounted headers plus one `MAX_LINE_BYTES` line in flight), so the
+/// guard never fires on a head the parser would accept.
+const HEAD_SCAN_LIMIT: usize = MAX_HEADER_BYTES + MAX_LINE_BYTES + 4;
+
+/// Whether every byte is `\r`: a line whose content is all `\r` is
+/// blank, since the parser strips trailing `\r` and `\n`.
+fn only_cr(bytes: &[u8]) -> bool {
+    bytes.iter().all(|&b| b == b'\r')
+}
+
+/// Where the first `\n` is, and whether every byte before it is ASCII,
+/// searched a word at a time.
+fn scan_line(bytes: &[u8]) -> (Option<usize>, bool) {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let (mut at, mut seen) = (0, 0);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        // The lowest byte flagged is the first `\n` (a zero byte after
+        // the xor); a borrow can only flag bytes above it.
+        let x = word ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            let bit = zeros.trailing_zeros();
+            let before = word & ((1 << (bit - 7)) - 1);
+            return (Some(at + bit as usize / 8), (seen | before) & HIGHS == 0);
         }
-        accounted += line.len() + 2;
-        if accounted > MAX_HEADER_BYTES {
+        seen |= word;
+        at += 8;
+    }
+    let tail = words.remainder();
+    let nl = tail.iter().position(|&b| b == b'\n');
+    let ascii = seen & HIGHS == 0 && tail[..nl.unwrap_or(tail.len())].is_ascii();
+    (nl.map(|i| at + i), ascii)
+}
+
+/// Whether `b` is whitespace as `char::is_whitespace` has it, for an
+/// ASCII byte.
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// `bytes[span].trim()` as a span: whitespace off both ends, Unicode
+/// whitespace unless the text is known to be ASCII. The span is valid
+/// UTF-8.
+fn trim(bytes: &[u8], span: Span, ascii: bool) -> Span {
+    let text = &bytes[span.start..span.end];
+    if !ascii {
+        let text = span.text(bytes);
+        return Span::within(text, text.trim(), span.start);
+    }
+    let start = text
+        .iter()
+        .position(|&b| !is_space(b))
+        .unwrap_or(text.len());
+    let end = text
+        .iter()
+        .rposition(|&b| !is_space(b))
+        .map_or(start, |i| i + 1);
+    Span {
+        start: span.start + start,
+        end: span.start + end,
+    }
+}
+
+/// The first size cap the line starting at `at` breaks, in the order a
+/// byte-by-byte scan meets them (the line's cap first on a shared byte);
+/// `nl` is the line's `\n`, if it is in. A blank line that ends the head
+/// breaks nothing.
+#[inline]
+fn overflow(bytes: &[u8], at: usize, nl: Option<usize>) -> Option<Overflow> {
+    debug_assert!(at <= HEAD_SCAN_LIMIT);
+    let content_end = nl.unwrap_or(bytes.len());
+    if content_end <= at + MAX_LINE_BYTES && content_end < HEAD_SCAN_LIMIT {
+        return None;
+    }
+    overflow_at(bytes, at, nl, content_end)
+}
+
+/// [`overflow`] once a cap is in reach.
+#[cold]
+fn overflow_at(bytes: &[u8], at: usize, nl: Option<usize>, content_end: usize) -> Option<Overflow> {
+    let line_byte = at + MAX_LINE_BYTES;
+    if line_byte < content_end && line_byte <= HEAD_SCAN_LIMIT {
+        return Some(Overflow {
+            cap: Cap::Line,
+            scanned: line_byte + 1,
+            all_cr: only_cr(&bytes[at..=line_byte]),
+        });
+    }
+    let head_byte = HEAD_SCAN_LIMIT;
+    let all_cr = if head_byte < content_end {
+        only_cr(&bytes[at..=head_byte])
+    } else if nl == Some(head_byte) && !only_cr(&bytes[at..head_byte]) {
+        true
+    } else {
+        return None;
+    };
+    Some(Overflow {
+        cap: Cap::Head,
+        scanned: head_byte + 1,
+        all_cr,
+    })
+}
+
+/// What framing has made of a head so far.
+enum Framed<S> {
+    /// The head is in, through its blank line, and parsed.
+    Head(Head<S>),
+    /// More bytes are needed.
+    Wait,
+    /// The head broke a size cap before its blank line.
+    Overflow(Overflow),
+    /// The head is in, and a line of it is malformed.
+    Invalid(HttpError),
+}
+
+/// The head parser: one pass over a head's lines, resumable across feeds.
+///
+/// Each line is parsed once, as its `\n` arrives: the start line, then
+/// header lines, counted against [`MAX_HEADER_BYTES`], their names
+/// lowercased where they lie, the first `content-length` and `connection`
+/// noted. Size caps are judged as bytes arrive, a malformed line only once
+/// the head's blank line is in, so a refused head reports exactly what a
+/// scan for its blank line and then a parse of the whole head would.
+#[derive(Debug)]
+struct HeadFramer<S> {
+    /// Where the first line not yet parsed starts (from the message start).
+    line: usize,
+    /// How far the search for that line's `\n` has looked.
+    seen: usize,
+    /// Whether that line's bytes looked at so far are all ASCII.
+    ascii: bool,
+    /// The start line, once parsed, and where the header lines begin.
+    start: Option<(S, usize)>,
+    /// Header bytes counted against [`MAX_HEADER_BYTES`] so far (each line
+    /// without its terminator, plus two).
+    accounted: usize,
+    content_length: Option<Span>,
+    /// What the first `connection` header says: `Some(true)` for `close`.
+    connection: Option<bool>,
+    /// The first line refused; reported when the head's blank line comes.
+    error: Option<HttpError>,
+}
+
+impl<S: Copy> HeadFramer<S> {
+    fn new() -> Self {
+        Self {
+            line: 0,
+            seen: 0,
+            ascii: true,
+            start: None,
+            accounted: 0,
+            content_length: None,
+            connection: None,
+            error: None,
+        }
+    }
+
+    /// Frames the head at the front of `bytes`, the message's bytes so
+    /// far, going on from where the last call stopped.
+    fn advance(&mut self, bytes: &mut [u8], start_line: StartLine<S>) -> Framed<S> {
+        loop {
+            let at = self.line;
+            let from = self.seen.max(at);
+            let (nl, ascii) = scan_line(&bytes[from..]);
+            let nl = nl.map(|i| from + i);
+            self.seen = nl.unwrap_or(bytes.len());
+            self.ascii &= ascii;
+            if let Some(overflow) = overflow(bytes, at, nl) {
+                return Framed::Overflow(overflow);
+            }
+            let Some(nl) = nl else {
+                return Framed::Wait;
+            };
+            self.line = nl + 1;
+            let ascii = std::mem::replace(&mut self.ascii, true);
+            if let Some(framed) = self.take_line(bytes, at, nl + 1, ascii, start_line) {
+                return framed;
+            }
+        }
+    }
+
+    /// At the end of the input, after [`advance`](Self::advance) waited
+    /// for more: a final line without `\n` still counts as a line, and a
+    /// head without its blank line is [`HttpError::ConnectionClosed`],
+    /// unless a line of it was refused first.
+    fn finish(&mut self, bytes: &mut [u8], start_line: StartLine<S>) -> Result<Head<S>, HttpError> {
+        let at = self.line;
+        if at < bytes.len() {
+            self.line = bytes.len();
+            let ascii = bytes[at..].is_ascii();
+            match self.take_line(bytes, at, bytes.len(), ascii, start_line) {
+                Some(Framed::Head(head)) => return Ok(head),
+                Some(Framed::Invalid(error)) => return Err(error),
+                _ => {}
+            }
+        }
+        Err(self.error.take().unwrap_or(HttpError::ConnectionClosed))
+    }
+
+    /// Takes the line `bytes[at..end]` (its `\n` included, when in; all
+    /// ASCII when `ascii`): parses it unless an earlier line was refused,
+    /// and ends the head if it is blank.
+    fn take_line(
+        &mut self,
+        bytes: &mut [u8],
+        at: usize,
+        end: usize,
+        ascii: bool,
+        start_line: StartLine<S>,
+    ) -> Option<Framed<S>> {
+        // The line without its trailing `\r`s and `\n`: empty when blank.
+        let kept = bytes[at..end]
+            .iter()
+            .rposition(|&b| b != b'\r' && b != b'\n');
+        let line = Span {
+            start: at,
+            end: kept.map_or(at, |i| at + i + 1),
+        };
+        if self.error.is_none() {
+            if let Err(error) = self.parse_line(bytes, line, end, ascii, start_line) {
+                self.error = Some(error);
+            }
+        }
+        if kept.is_some() {
+            return None;
+        }
+        if let Some(error) = self.error.take() {
+            return Some(Framed::Invalid(error));
+        }
+        let (start, headers_at) = self
+            .start
+            .expect("a blank start line never parses, so the head has one");
+        Some(Framed::Head(Head {
+            start,
+            headers: Span {
+                start: headers_at,
+                end: at,
+            },
+            content_length: self.content_length,
+            close: self.connection == Some(true),
+            len: end,
+        }))
+    }
+
+    /// Parses one line, checked in the order a line reader reports: UTF-8
+    /// first, then length. The first line is the start line; a later
+    /// non-blank one is a header line. Header lines are taken apart as
+    /// bytes: `:`, `\r` and `\n` are ASCII, so they never fall inside a
+    /// multi-byte character.
+    fn parse_line(
+        &mut self,
+        bytes: &mut [u8],
+        line: Span,
+        end: usize,
+        ascii: bool,
+        start_line: StartLine<S>,
+    ) -> Result<(), HttpError> {
+        let at = line.start;
+        let raw = &bytes[at..end];
+        if !ascii && std::str::from_utf8(raw).is_err() {
+            // Worded as `BufRead::read_line` words it.
+            return Err(HttpError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )));
+        }
+        if raw.len() > MAX_LINE_BYTES {
+            return Err(HttpError::Malformed(format!(
+                "line exceeds {MAX_LINE_BYTES} bytes"
+            )));
+        }
+        if self.start.is_none() {
+            let text = &bytes[line.start..line.end];
+            self.start = Some((start_line(text, ascii, at)?, end));
+            return Ok(());
+        }
+        if line.start == line.end {
+            return Ok(());
+        }
+        self.accounted += line.end - line.start + 2;
+        if self.accounted > MAX_HEADER_BYTES {
             return Err(HttpError::Malformed(format!(
                 "headers exceed {MAX_HEADER_BYTES} bytes"
             )));
         }
-        let Some((name, value)) = line.split_once(':') else {
+        let Some(colon) = bytes[at..line.end].iter().position(|&b| b == b':') else {
+            let line = line.text(bytes);
             return Err(HttpError::Malformed(format!("header line '{line}'")));
         };
-        if content_length.is_none() && name.trim().eq_ignore_ascii_case("content-length") {
-            content_length = Some(Span::within(line, value.trim(), line_at));
+        let name = Span {
+            start: at,
+            end: at + colon,
+        };
+        bytes[name.start..name.end].make_ascii_lowercase();
+        let key = trim(bytes, name, ascii);
+        let value = Span {
+            start: name.end + 1,
+            end: line.end,
+        };
+        match &bytes[key.start..key.end] {
+            b"content-length" if self.content_length.is_none() => {
+                self.content_length = Some(trim(bytes, value, ascii));
+            }
+            b"connection" if self.connection.is_none() => {
+                let value = trim(bytes, value, ascii);
+                let value = &bytes[value.start..value.end];
+                self.connection = Some(value.eq_ignore_ascii_case(b"close"));
+            }
+            _ => {}
         }
-        let name_end = line_at + name.len();
-        bytes[line_at..name_end].make_ascii_lowercase();
+        Ok(())
     }
-    Err(HttpError::ConnectionClosed)
 }
 
-fn request_line(line: &str, at: usize) -> Result<RequestLine, HttpError> {
-    let mut parts = line.split_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) => (m, p, v),
-        _ => return Err(HttpError::Malformed(format!("request line '{line}'"))),
+fn request_line(line: &[u8], ascii: bool, at: usize) -> Result<RequestLine, HttpError> {
+    let text = || std::str::from_utf8(line).unwrap_or_default();
+    // The first three of `split_whitespace`'s words, split as bytes when
+    // the line is ASCII.
+    let mut words = [Span { start: 0, end: 0 }; 3];
+    let found = if ascii {
+        let (mut found, mut i) = (0, 0);
+        while found < words.len() {
+            while i < line.len() && is_space(line[i]) {
+                i += 1;
+            }
+            if i == line.len() {
+                break;
+            }
+            let start = i;
+            while i < line.len() && !is_space(line[i]) {
+                i += 1;
+            }
+            words[found] = Span {
+                start: at + start,
+                end: at + i,
+            };
+            found += 1;
+        }
+        found
+    } else {
+        let text = text();
+        let tokens = text.split_whitespace().map(|t| Span::within(text, t, at));
+        words.iter_mut().zip(tokens).map(|(slot, t)| *slot = t).count()
     };
-    if !version.starts_with("HTTP/1.") {
+    if found < 3 {
+        return Err(HttpError::Malformed(format!("request line '{}'", text())));
+    }
+    let [method, path, version] = words;
+    let version = &line[version.start - at..version.end - at];
+    if !version.starts_with(b"HTTP/1.") {
+        let version = std::str::from_utf8(version).unwrap_or_default();
         return Err(HttpError::Malformed(format!("version '{version}'")));
     }
-    Ok(RequestLine {
-        method: Span::within(line, method, at),
-        path: Span::within(line, path, at),
-    })
+    Ok(RequestLine { method, path })
 }
 
-fn status_line(line: &str, _at: usize) -> Result<u16, HttpError> {
+fn status_line(line: &[u8], _ascii: bool, _at: usize) -> Result<u16, HttpError> {
+    let line = std::str::from_utf8(line).unwrap_or_default();
     let mut parts = line.splitn(3, ' ');
     let (version, status) = match (parts.next(), parts.next()) {
         (Some(v), Some(s)) => (v, s),
@@ -293,10 +607,15 @@ fn header_lines(mut block: &str) -> impl Iterator<Item = (&str, &str)> {
 }
 
 /// Reads one head, through its blank line, from a blocking reader onto
-/// `buf`, consuming exactly its bytes. `Ok(false)` on EOF before the first
-/// byte; EOF mid-head leaves the partial head for the parser to judge.
-fn read_head(r: &mut impl BufRead, buf: &mut Vec<u8>) -> Result<bool, HttpError> {
-    let mut scan = HeadScan::new();
+/// `buf` and parses it, consuming exactly its bytes: a line at a time, so
+/// nothing past the head is copied out. `Ok(None)` on EOF before the first
+/// byte.
+fn read_head<S: Copy>(
+    r: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    start_line: StartLine<S>,
+) -> Result<Option<Head<S>>, HttpError> {
+    let mut framer = HeadFramer::new();
     loop {
         let chunk = match r.fill_buf() {
             Ok(chunk) => chunk,
@@ -304,16 +623,22 @@ fn read_head(r: &mut impl BufRead, buf: &mut Vec<u8>) -> Result<bool, HttpError>
             Err(e) => return Err(e.into()),
         };
         if chunk.is_empty() {
-            return Ok(!buf.is_empty());
+            if buf.is_empty() {
+                return Ok(None);
+            }
+            return framer.finish(buf, start_line).map(Some);
         }
-        // Scan before copying, so only head bytes are copied out.
-        let seen = scan.idx;
-        let found = scan.advance(chunk).map_err(Overflow::error)?;
-        let take = found.map_or(chunk.len(), |len| len - seen);
+        // Framing waits only while the head is within its cap, so there is
+        // room for at least one more byte.
+        let line = scan_line(chunk).0.map_or(chunk.len(), |i| i + 1);
+        let take = line.min(HEAD_SCAN_LIMIT + 1 - buf.len());
         buf.extend_from_slice(&chunk[..take]);
         r.consume(take);
-        if found.is_some() {
-            return Ok(true);
+        match framer.advance(buf, start_line) {
+            Framed::Head(head) => return Ok(Some(head)),
+            Framed::Wait => {}
+            Framed::Overflow(overflow) => return Err(overflow.cap.error()),
+            Framed::Invalid(error) => return Err(error),
         }
     }
 }
@@ -337,19 +662,23 @@ fn read_body(r: &mut impl Read, buf: &mut Vec<u8>, len: usize) -> Result<(), Htt
 /// `Content-Length` bodies for the decision service.
 ///
 /// The request is its wire form — one buffer holding the head (header
-/// names lowercased) and the body — plus the offsets of its parts, so a
-/// parsed request owns exactly one allocation.
+/// names lowercased) and the body — plus the offsets of its parts. A
+/// request from [`RequestParser`] borrows that buffer from the parser, so
+/// framing it copies and allocates nothing; one built here or read by
+/// [`Request::read_from`] owns it.
 #[derive(Clone)]
-pub struct Request {
-    buf: Vec<u8>,
+pub struct Request<'a> {
+    buf: Cow<'a, [u8]>,
     method: Span,
     path: Span,
     headers: Span,
     /// Start of the body; it runs to the end of `buf`.
     body: usize,
+    /// Whether the first `connection` header says `close`.
+    close: bool,
 }
 
-impl Request {
+impl Request<'static> {
     /// A `GET` request for `path`.
     pub fn get(path: &str) -> Self {
         Self::build("GET", path, None)
@@ -398,21 +727,54 @@ impl Request {
             buf.extend_from_slice(bytes);
         }
         Self {
-            buf,
+            buf: Cow::Owned(buf),
             method,
             path,
             headers,
             body,
+            close: false,
         }
     }
 
+    /// Parses a request from a transport. `Ok(None)` on clean EOF before
+    /// the first byte (keep-alive peer went away).
+    ///
+    /// Server hardening: a garbled request line, a header block over
+    /// [`MAX_HEADER_BYTES`] and a `POST`/`PUT` without `Content-Length`
+    /// (the body would be unframed, poisoning keep-alive) all yield
+    /// [`HttpError::Malformed`], which a serving loop maps to `400`
+    /// without tearing the worker down. A body over
+    /// [`MAX_REQUEST_BODY_BYTES`] is [`HttpError::BodyTooLarge`] — the
+    /// framing is fine, the payload is not — which maps to `413`.
+    pub fn read_from(r: &mut impl BufRead) -> Result<Option<Self>, HttpError> {
+        Self::read_from_with_cap(r, MAX_REQUEST_BODY_BYTES)
+    }
+
+    /// [`read_from`](Self::read_from) with an explicit request-body cap,
+    /// for servers whose expected payloads are far from the default —
+    /// the bulk decision endpoint raises it, a chunk origin could lower
+    /// it. A declared `Content-Length` of exactly `cap` bytes is
+    /// accepted; `cap + 1` is [`HttpError::BodyTooLarge`].
+    pub fn read_from_with_cap(r: &mut impl BufRead, cap: usize) -> Result<Option<Self>, HttpError> {
+        let mut buf = Vec::new();
+        let Some(head) = read_head(r, &mut buf, request_line)? else {
+            return Ok(None);
+        };
+        let body_len = request_body_len(&buf, &head, cap)?;
+        read_body(r, &mut buf, body_len)?;
+        Ok(Some(Request::parsed(Cow::Owned(buf), head)))
+    }
+}
+
+impl<'a> Request<'a> {
     /// Takes over a message buffer whose head `head` describes.
-    fn parsed(buf: Vec<u8>, head: Head<RequestLine>) -> Self {
+    fn parsed(buf: Cow<'a, [u8]>, head: Head<RequestLine>) -> Self {
         Self {
             method: head.start.method,
             path: head.start.path,
             headers: head.headers,
             body: head.len,
+            close: head.close,
             buf,
         }
     }
@@ -439,9 +801,29 @@ impl Request {
             .map(|(_, v)| v.trim())
     }
 
+    /// Whether the client asked to close the connection after this
+    /// request: its first `connection` header is `close`
+    /// (case-insensitive). Noted while the head was parsed.
+    pub fn wants_close(&self) -> bool {
+        self.close
+    }
+
     /// The body (empty for bodyless requests).
     pub fn body(&self) -> &[u8] {
         &self.buf[self.body..]
+    }
+
+    /// The request with a buffer of its own, free of the parser it may
+    /// borrow from.
+    pub fn into_owned(self) -> Request<'static> {
+        Request {
+            buf: Cow::Owned(self.buf.into_owned()),
+            method: self.method,
+            path: self.path,
+            headers: self.headers,
+            body: self.body,
+            close: self.close,
+        }
     }
 
     /// Serializes onto a transport.
@@ -450,43 +832,10 @@ impl Request {
         w.flush()?;
         Ok(())
     }
-
-    /// Parses a request from a transport. `Ok(None)` on clean EOF before
-    /// the first byte (keep-alive peer went away).
-    ///
-    /// Server hardening: a garbled request line, a header block over
-    /// [`MAX_HEADER_BYTES`] and a `POST`/`PUT` without `Content-Length`
-    /// (the body would be unframed, poisoning keep-alive) all yield
-    /// [`HttpError::Malformed`], which a serving loop maps to `400`
-    /// without tearing the worker down. A body over
-    /// [`MAX_REQUEST_BODY_BYTES`] is [`HttpError::BodyTooLarge`] — the
-    /// framing is fine, the payload is not — which maps to `413`.
-    pub fn read_from(r: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
-        Self::read_from_with_cap(r, MAX_REQUEST_BODY_BYTES)
-    }
-
-    /// [`read_from`](Self::read_from) with an explicit request-body cap,
-    /// for servers whose expected payloads are far from the default —
-    /// the bulk decision endpoint raises it, a chunk origin could lower
-    /// it. A declared `Content-Length` of exactly `cap` bytes is
-    /// accepted; `cap + 1` is [`HttpError::BodyTooLarge`].
-    pub fn read_from_with_cap(
-        r: &mut impl BufRead,
-        cap: usize,
-    ) -> Result<Option<Request>, HttpError> {
-        let mut buf = Vec::new();
-        if !read_head(r, &mut buf)? {
-            return Ok(None);
-        }
-        let head = parse_head(&mut buf, request_line)?;
-        let body_len = request_body_len(&buf, &head, cap)?;
-        read_body(r, &mut buf, body_len)?;
-        Ok(Some(Self::parsed(buf, head)))
-    }
 }
 
 /// Requests are equal when their method, path, headers and body are.
-impl PartialEq for Request {
+impl PartialEq for Request<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.method() == other.method()
             && self.path() == other.path()
@@ -495,9 +844,9 @@ impl PartialEq for Request {
     }
 }
 
-impl Eq for Request {}
+impl Eq for Request<'_> {}
 
-impl std::fmt::Debug for Request {
+impl std::fmt::Debug for Request<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Request")
             .field("method", &self.method())
@@ -636,10 +985,8 @@ impl Response {
     /// body bytes).
     pub fn read_from(r: &mut impl BufRead) -> Result<Response, HttpError> {
         let mut head_bytes = Vec::new();
-        if !read_head(r, &mut head_bytes)? {
-            return Err(HttpError::ConnectionClosed);
-        }
-        let head = parse_head(&mut head_bytes, status_line)?;
+        let head =
+            read_head(r, &mut head_bytes, status_line)?.ok_or(HttpError::ConnectionClosed)?;
         let mut body = Vec::new();
         read_body(r, &mut body, response_body_len(&head_bytes, &head)?)?;
         Ok(Self::parsed(&head_bytes, &head, body))
@@ -689,256 +1036,34 @@ enum Resync {
     },
 }
 
-/// A head that outgrew a size cap before its blank line arrived.
-#[derive(Debug, Clone, Copy)]
-enum Overflow {
-    /// A line whose content (terminator excluded) passes
-    /// [`MAX_LINE_BYTES`].
-    Line,
-    /// More than [`HEAD_SCAN_LIMIT`] head bytes.
-    Head,
-}
+/// Free bytes [`RequestParser::spare`] offers each socket read: the most
+/// one read takes.
+const READ_SPARE: usize = 16 * 1024;
 
-impl Overflow {
-    fn error(self) -> HttpError {
-        HttpError::Malformed(match self {
-            Overflow::Line => format!("line exceeds {MAX_LINE_BYTES} bytes"),
-            Overflow::Head => format!("headers exceed {MAX_HEADER_BYTES} bytes"),
-        })
-    }
-}
-
-/// Progress of the head-completeness scan (find the blank line that
-/// terminates the request/status line + headers), kept across feeds so
-/// trickled input is scanned once, not re-scanned per byte.
-#[derive(Debug, Clone, Copy)]
-struct HeadScan {
-    /// Next unexamined byte, relative to the message start; also the
-    /// number of head bytes scanned.
-    idx: usize,
-    /// Content bytes in the current line so far (terminator excluded).
-    line_len: usize,
-    /// Whether every content byte of the current line is `\r` — the head
-    /// parser strips all trailing `\r`/`\n`, so "blank line" means
-    /// *all-`\r'` content*, and this scan matches it exactly.
-    all_cr: bool,
-}
-
-impl HeadScan {
-    fn new() -> Self {
-        Self {
-            idx: 0,
-            line_len: 0,
-            all_cr: true,
-        }
-    }
-
-    /// Scans `fresh`, the bytes that follow those scanned so far.
-    /// `Ok(Some(head_len))` once the blank line is in; `Ok(None)` to wait
-    /// for more bytes. On an overflow, `idx` marks what a resync discards.
-    fn advance(&mut self, fresh: &[u8]) -> Result<Option<usize>, Overflow> {
-        for &b in fresh {
-            self.idx += 1;
-            if b == b'\n' {
-                if self.all_cr {
-                    return Ok(Some(self.idx));
-                }
-                self.line_len = 0;
-                self.all_cr = true;
-            } else {
-                self.line_len += 1;
-                if b != b'\r' {
-                    self.all_cr = false;
-                }
-                if self.line_len > MAX_LINE_BYTES {
-                    return Err(Overflow::Line);
-                }
-            }
-            if self.idx > HEAD_SCAN_LIMIT {
-                return Err(Overflow::Head);
-            }
-        }
-        Ok(None)
-    }
-}
-
-/// Hard ceiling on buffered head bytes before the scan gives up: the head
-/// parser is guaranteed to have rejected the block by this point
-/// (`MAX_HEADER_BYTES` of accounted headers plus one `MAX_LINE_BYTES`
-/// line in flight), so the guard never fires on a head the parser would
-/// accept.
-const HEAD_SCAN_LIMIT: usize = MAX_HEADER_BYTES + MAX_LINE_BYTES + 4;
-
-/// Where the next buffered request stands.
-enum Framing {
-    /// Head and body are buffered: the parsed head and the total length.
-    Ready(Head<RequestLine>, usize),
-    /// Wait for more bytes.
-    Wait,
-    /// The head scan hit a size cap.
-    Overflow(Overflow),
-    /// The head or its framing is invalid.
-    Invalid(HttpError),
-}
-
-/// The incremental machinery: byte buffer, head scan, resync.
+/// Incremental request parser for non-blocking connections: feed whatever
+/// bytes the socket yields (or read them straight into its buffer), pull
+/// zero or more complete [`Request`]s.
+///
+/// It runs the same one-pass head parser as [`Request::read_from`], kept
+/// across feeds, so every accepted or rejected message matches the
+/// one-shot parser's and no byte of a trickled head is parsed twice.
+///
+/// A complete request borrows the parser's buffer: framing it copies and
+/// allocates nothing. The buffer is reused across requests; consumed
+/// bytes are reclaimed only when room is needed, never while a request
+/// borrows them.
 #[derive(Debug)]
-struct Incremental {
+pub struct RequestParser {
+    /// Every byte of `buf` is initialized; `pos..end` is unconsumed input.
     buf: Vec<u8>,
     /// Consumed prefix of `buf`.
     pos: usize,
-    scan: HeadScan,
+    end: usize,
+    framer: HeadFramer<RequestLine>,
     /// The parsed head and total length once the head is complete —
     /// nothing is re-parsed while a body trickles in.
     pending: Option<(Head<RequestLine>, usize)>,
     resync: Resync,
-}
-
-impl Incremental {
-    fn new() -> Self {
-        Self {
-            buf: Vec::new(),
-            pos: 0,
-            scan: HeadScan::new(),
-            pending: None,
-            resync: Resync::None,
-        }
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Unconsumed bytes.
-    fn avail(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// No partial message, no pending resync: EOF here is a clean close.
-    fn is_clean(&self) -> bool {
-        self.avail() == 0 && self.resync == Resync::None
-    }
-
-    /// Reclaims the consumed prefix. Scan/pending offsets are relative to
-    /// `pos`, so dropping the prefix never invalidates them.
-    fn compact(&mut self) {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos >= 8 * 1024 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-    }
-
-    /// Runs any pending resync against the buffer. Returns `true` when
-    /// resync is finished and normal parsing may resume.
-    fn run_resync(&mut self) -> bool {
-        match self.resync {
-            Resync::None => true,
-            Resync::Body(remaining) => {
-                let take = remaining.min(self.avail());
-                self.pos += take;
-                if take == remaining {
-                    self.resync = Resync::None;
-                    true
-                } else {
-                    self.resync = Resync::Body(remaining - take);
-                    false
-                }
-            }
-            Resync::ToBlankLine { mut all_cr } => {
-                while self.pos < self.buf.len() {
-                    let b = self.buf[self.pos];
-                    self.pos += 1;
-                    match b {
-                        b'\n' if all_cr => {
-                            self.resync = Resync::None;
-                            return true;
-                        }
-                        b'\n' => all_cr = true,
-                        b'\r' => {}
-                        _ => all_cr = false,
-                    }
-                }
-                self.resync = Resync::ToBlankLine { all_cr };
-                false
-            }
-        }
-    }
-
-    /// Frames the next buffered request: scans for the end of its head,
-    /// parses the head in place, and checks that the declared body (at
-    /// most `cap` bytes) is in.
-    fn frame(&mut self, cap: usize) -> Framing {
-        let (head, total) = match self.pending {
-            Some(pending) => pending,
-            None => {
-                let fresh = &self.buf[self.pos + self.scan.idx..];
-                let head_len = match self.scan.advance(fresh) {
-                    Ok(Some(len)) => len,
-                    Ok(None) => return Framing::Wait,
-                    Err(overflow) => return Framing::Overflow(overflow),
-                };
-                let bytes = &mut self.buf[self.pos..self.pos + head_len];
-                let head = match parse_head(bytes, request_line) {
-                    Ok(head) => head,
-                    Err(error) => return Framing::Invalid(error),
-                };
-                match request_body_len(bytes, &head, cap) {
-                    Ok(len) => (head, head_len + len),
-                    Err(error) => return Framing::Invalid(error),
-                }
-            }
-        };
-        if self.avail() < total {
-            self.pending = Some((head, total));
-            return Framing::Wait;
-        }
-        Framing::Ready(head, total)
-    }
-
-    /// The `len` bytes of the framed message at the front of the buffer.
-    fn message(&self, len: usize) -> &[u8] {
-        &self.buf[self.pos..self.pos + len]
-    }
-
-    /// Marks `consumed` bytes done and resets per-message state.
-    fn consume(&mut self, consumed: usize) {
-        self.pos += consumed;
-        self.scan = HeadScan::new();
-        self.pending = None;
-        self.compact();
-    }
-
-    /// Enters a recoverable-failure resync, dropping everything scanned.
-    fn fail_into(&mut self, resync: Resync) {
-        self.pos += self.scan.idx;
-        self.scan = HeadScan::new();
-        self.pending = None;
-        self.resync = resync;
-        self.compact();
-    }
-}
-
-/// Incremental request parser for non-blocking connections: feed whatever
-/// bytes the socket yields, pull zero or more complete [`Request`]s.
-///
-/// Once the head scan has found a head's blank line, the same in-place
-/// head parser as [`Request::read_from`] runs over the buffered bytes, so
-/// every accepted or rejected message matches the one-shot parser's — the
-/// incremental layer only decides *when* enough bytes have arrived. The
-/// head scan's size guards fire only on input the head parser is already
-/// guaranteed to reject, with the same error text.
-///
-/// Allocation budget: a complete request is copied out of the connection
-/// buffer once, into the single buffer the [`Request`] owns; nothing else
-/// allocates on success. The connection buffer itself is reused across
-/// requests.
-#[derive(Debug)]
-pub struct RequestParser {
-    inner: Incremental,
     cap: usize,
 }
 
@@ -957,63 +1082,181 @@ impl RequestParser {
     /// A parser with an explicit request-body cap (mirrors
     /// [`Request::read_from_with_cap`]).
     pub fn with_cap(cap: usize) -> Self {
-        Self { inner: Incremental::new(), cap }
+        Self {
+            buf: Vec::new(),
+            pos: 0,
+            end: 0,
+            framer: HeadFramer::new(),
+            pending: None,
+            resync: Resync::None,
+            cap,
+        }
     }
 
     /// Appends bytes read from the socket.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.inner.feed(bytes);
+        self.reserve(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Free room at the end of the buffer (at least [`READ_SPARE`] bytes)
+    /// for a socket read to fill in place; [`commit`](Self::commit) what
+    /// it read.
+    pub(crate) fn spare(&mut self) -> &mut [u8] {
+        self.reserve(READ_SPARE)
+    }
+
+    /// Takes in `n` bytes a read wrote at the front of
+    /// [`spare`](Self::spare).
+    pub(crate) fn commit(&mut self, n: usize) {
+        assert!(
+            self.end + n <= self.buf.len(),
+            "committed past the spare room"
+        );
+        self.end += n;
+    }
+
+    /// At least `min` free bytes past the input. The consumed prefix is
+    /// dropped first; the buffer grows (zero-filled, once) only when that
+    /// leaves too little room. Offsets into the message are relative to
+    /// `pos`, so moving the input never invalidates them.
+    fn reserve(&mut self, min: usize) -> &mut [u8] {
+        if self.pos == self.end {
+            self.pos = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end < min {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            if self.buf.len() - self.end < min {
+                self.buf.resize(self.end + min, 0);
+            }
+        }
+        &mut self.buf[self.end..]
     }
 
     /// Bytes buffered but not yet consumed by a complete message.
     pub fn buffered(&self) -> usize {
-        self.inner.avail()
+        self.end - self.pos
     }
 
     /// True when no partial message is buffered — EOF now is a clean
     /// keep-alive close, not a truncation.
     pub fn is_clean(&self) -> bool {
-        self.inner.is_clean()
+        self.buffered() == 0 && self.resync == Resync::None
     }
 
     /// Attempts to parse the next buffered request. Call in a loop after
     /// each [`feed`](Self::feed) until it stops returning
     /// [`ParseStep::Complete`].
-    pub fn next_request(&mut self) -> ParseStep<Request> {
-        if !self.inner.run_resync() {
+    pub fn next_request(&mut self) -> ParseStep<Request<'_>> {
+        if !self.run_resync() {
             return ParseStep::Incomplete;
         }
-        match self.inner.frame(self.cap) {
-            Framing::Ready(head, len) => {
-                let req = Request::parsed(self.inner.message(len).to_vec(), head);
-                self.inner.consume(len);
-                ParseStep::Complete(req)
-            }
-            Framing::Wait => ParseStep::Incomplete,
-            Framing::Overflow(overflow) => {
-                // An over-long line or a runaway header block: skip to the
-                // blank line that ends the refused head, so its remaining
-                // lines never parse as a request of their own. The
-                // connection survives with a 400.
-                let all_cr = self.inner.scan.all_cr;
-                self.inner.fail_into(Resync::ToBlankLine { all_cr });
-                ParseStep::Failed {
-                    error: overflow.error(),
-                    recoverable: true,
+        // Parse the head as far as the bytes go (once), then wait until the
+        // declared body, at most `cap` bytes, is in.
+        let (head, total) = match self.pending {
+            Some(pending) => pending,
+            None => {
+                let bytes = &mut self.buf[self.pos..self.end];
+                let head = match self.framer.advance(bytes, request_line) {
+                    Framed::Head(head) => head,
+                    Framed::Wait => return ParseStep::Incomplete,
+                    Framed::Overflow(overflow) => {
+                        // An over-long line or a runaway header block: skip
+                        // to the blank line that ends the refused head, so
+                        // its remaining lines never parse as a request of
+                        // their own. The connection survives with a 400.
+                        self.next_message(overflow.scanned);
+                        self.resync = Resync::ToBlankLine {
+                            all_cr: overflow.all_cr,
+                        };
+                        return ParseStep::Failed {
+                            error: overflow.cap.error(),
+                            recoverable: true,
+                        };
+                    }
+                    Framed::Invalid(error) => {
+                        return ParseStep::Failed {
+                            error,
+                            recoverable: false,
+                        }
+                    }
+                };
+                match request_body_len(bytes, &head, self.cap) {
+                    Ok(len) => (head, head.len + len),
+                    Err(error @ HttpError::BodyTooLarge { len, .. }) => {
+                        // Well-framed, oversized: skip the head and the
+                        // declared body, and the connection survives with
+                        // a 413.
+                        self.next_message(head.len);
+                        self.resync = Resync::Body(len);
+                        return ParseStep::Failed {
+                            error,
+                            recoverable: true,
+                        };
+                    }
+                    Err(error) => {
+                        return ParseStep::Failed {
+                            error,
+                            recoverable: false,
+                        }
+                    }
                 }
             }
-            Framing::Invalid(error @ HttpError::BodyTooLarge { len, .. }) => {
-                // Well-framed, oversized: skip the declared body and the
-                // connection survives with a 413. The scan stopped right
-                // after the head, so `fail_into` drops exactly the head.
-                self.inner.fail_into(Resync::Body(len));
-                ParseStep::Failed { error, recoverable: true }
-            }
-            Framing::Invalid(error) => ParseStep::Failed {
-                error,
-                recoverable: false,
-            },
+        };
+        if self.buffered() < total {
+            self.pending = Some((head, total));
+            return ParseStep::Incomplete;
         }
+        let at = self.pos;
+        self.next_message(total);
+        let message = &self.buf[at..at + total];
+        ParseStep::Complete(Request::parsed(Cow::Borrowed(message), head))
+    }
+
+    /// Runs any pending resync against the buffer. Returns `true` when
+    /// resync is finished and normal parsing may resume.
+    fn run_resync(&mut self) -> bool {
+        match self.resync {
+            Resync::None => true,
+            Resync::Body(remaining) => {
+                let take = remaining.min(self.buffered());
+                self.pos += take;
+                if take == remaining {
+                    self.resync = Resync::None;
+                    true
+                } else {
+                    self.resync = Resync::Body(remaining - take);
+                    false
+                }
+            }
+            Resync::ToBlankLine { mut all_cr } => {
+                while self.pos < self.end {
+                    let b = self.buf[self.pos];
+                    self.pos += 1;
+                    match b {
+                        b'\n' if all_cr => {
+                            self.resync = Resync::None;
+                            return true;
+                        }
+                        b'\n' => all_cr = true,
+                        b'\r' => {}
+                        _ => all_cr = false,
+                    }
+                }
+                self.resync = Resync::ToBlankLine { all_cr };
+                false
+            }
+        }
+    }
+
+    /// Marks `consumed` bytes done and resets per-message state.
+    fn next_message(&mut self, consumed: usize) {
+        self.pos += consumed;
+        self.framer = HeadFramer::new();
+        self.pending = None;
     }
 }
 
@@ -1151,7 +1394,7 @@ mod tests {
     use abr_video::envivio_video;
     use std::io::Cursor;
 
-    fn round_trip_request(req: &Request) -> Request {
+    fn round_trip_request(req: &Request) -> Request<'static> {
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
         Request::read_from(&mut Cursor::new(buf)).unwrap().unwrap()
@@ -1520,7 +1763,7 @@ mod tests {
                 match p.next_request() {
                     ParseStep::Complete(r) => {
                         assert_eq!(i, wire.len() - 1, "completed early at byte {i}");
-                        got = Some(r);
+                        got = Some(r.into_owned());
                     }
                     ParseStep::Incomplete => assert!(i < wire.len() - 1),
                     ParseStep::Failed { error, .. } => panic!("failed at byte {i}: {error}"),
@@ -2085,6 +2328,839 @@ mod tests {
                 let one_shot = seen(Response::read_from(&mut Cursor::new(input)));
                 assert_eq!(one_shot, expect, "{}", input.escape_ascii());
             }
+        }
+    }
+
+    /// The framing the one-pass head parser replaced, kept as the oracle of
+    /// `framing_differential`: a byte-by-byte scan for the blank line
+    /// (`HeadScan`), then a line-by-line parse of the head with a UTF-8
+    /// check per line (`parse_head`), then an owned copy of the message,
+    /// whose `connection` header is looked up afterwards.
+    mod reference {
+        use super::super::{
+            header_lines, HttpError, RequestLine, Span, HEAD_SCAN_LIMIT, MAX_HEADER_BYTES,
+            MAX_LINE_BYTES,
+        };
+        use std::io::BufRead;
+
+        /// A request as the reference frames it.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct Message {
+            pub method: String,
+            pub path: String,
+            pub headers: Vec<(String, String)>,
+            pub body: Vec<u8>,
+            pub close: bool,
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        struct Head {
+            start: RequestLine,
+            headers: Span,
+            content_length: Option<Span>,
+            len: usize,
+        }
+
+        fn next_line(bytes: &[u8], at: usize) -> Result<(&str, usize), HttpError> {
+            let end = bytes[at..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |i| at + i + 1);
+            let raw = std::str::from_utf8(&bytes[at..end]).map_err(|_| {
+                HttpError::Io(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                ))
+            })?;
+            if raw.len() > MAX_LINE_BYTES {
+                return Err(HttpError::Malformed(format!(
+                    "line exceeds {MAX_LINE_BYTES} bytes"
+                )));
+            }
+            let mut len = raw.len();
+            while len > 0 && matches!(raw.as_bytes()[len - 1], b'\r' | b'\n') {
+                len -= 1;
+            }
+            Ok((&raw[..len], end))
+        }
+
+        fn request_line(line: &str, at: usize) -> Result<RequestLine, HttpError> {
+            let mut parts = line.split_whitespace();
+            let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
+                (Some(m), Some(p), Some(v)) => (m, p, v),
+                _ => return Err(HttpError::Malformed(format!("request line '{line}'"))),
+            };
+            if !version.starts_with("HTTP/1.") {
+                return Err(HttpError::Malformed(format!("version '{version}'")));
+            }
+            Ok(RequestLine {
+                method: Span::within(line, method, at),
+                path: Span::within(line, path, at),
+            })
+        }
+
+        fn parse_head(bytes: &mut [u8]) -> Result<Head, HttpError> {
+            let (line, mut at) = next_line(bytes, 0)?;
+            let start = request_line(line, 0)?;
+            let headers_at = at;
+            let mut accounted = 0usize;
+            let mut content_length = None;
+            while at < bytes.len() {
+                let line_at = at;
+                let (line, next) = next_line(bytes, at)?;
+                at = next;
+                if line.is_empty() {
+                    let headers = Span {
+                        start: headers_at,
+                        end: line_at,
+                    };
+                    return Ok(Head {
+                        start,
+                        headers,
+                        content_length,
+                        len: at,
+                    });
+                }
+                accounted += line.len() + 2;
+                if accounted > MAX_HEADER_BYTES {
+                    return Err(HttpError::Malformed(format!(
+                        "headers exceed {MAX_HEADER_BYTES} bytes"
+                    )));
+                }
+                let Some((name, value)) = line.split_once(':') else {
+                    return Err(HttpError::Malformed(format!("header line '{line}'")));
+                };
+                if content_length.is_none() && name.trim().eq_ignore_ascii_case("content-length") {
+                    content_length = Some(Span::within(line, value.trim(), line_at));
+                }
+                let name_end = line_at + name.len();
+                bytes[line_at..name_end].make_ascii_lowercase();
+            }
+            Err(HttpError::ConnectionClosed)
+        }
+
+        fn request_body_len(bytes: &[u8], head: &Head, cap: usize) -> Result<usize, HttpError> {
+            match head.content_length {
+                Some(value) => {
+                    let value = value.text(bytes);
+                    let len: usize = value
+                        .parse()
+                        .map_err(|_| HttpError::Malformed(format!("content-length '{value}'")))?;
+                    if len > cap {
+                        return Err(HttpError::BodyTooLarge { len, cap });
+                    }
+                    Ok(len)
+                }
+                None => match head.start.method.text(bytes) {
+                    method @ ("POST" | "PUT") => Err(HttpError::Malformed(format!(
+                        "{method} without content-length"
+                    ))),
+                    _ => Ok(0),
+                },
+            }
+        }
+
+        /// The owned copy of a framed message, and what the server looked
+        /// up in it.
+        fn message(buf: &[u8], head: &Head) -> Message {
+            let block = head.headers.text(buf);
+            let headers: Vec<(String, String)> = header_lines(block)
+                .map(|(n, v)| (n.to_string(), v.trim().to_string()))
+                .collect();
+            let close = headers
+                .iter()
+                .find(|(n, _)| n.eq_ignore_ascii_case("connection"))
+                .is_some_and(|(_, v)| v.eq_ignore_ascii_case("close"));
+            Message {
+                method: head.start.method.text(buf).to_string(),
+                path: head.start.path.text(buf).to_string(),
+                headers,
+                body: buf[head.len..].to_vec(),
+                close,
+            }
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        enum Overflow {
+            Line,
+            Head,
+        }
+
+        impl Overflow {
+            fn error(self) -> HttpError {
+                HttpError::Malformed(match self {
+                    Overflow::Line => format!("line exceeds {MAX_LINE_BYTES} bytes"),
+                    Overflow::Head => format!("headers exceed {MAX_HEADER_BYTES} bytes"),
+                })
+            }
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        struct HeadScan {
+            idx: usize,
+            line_len: usize,
+            all_cr: bool,
+        }
+
+        impl HeadScan {
+            fn new() -> Self {
+                Self {
+                    idx: 0,
+                    line_len: 0,
+                    all_cr: true,
+                }
+            }
+
+            fn advance(&mut self, fresh: &[u8]) -> Result<Option<usize>, Overflow> {
+                for &b in fresh {
+                    self.idx += 1;
+                    if b == b'\n' {
+                        if self.all_cr {
+                            return Ok(Some(self.idx));
+                        }
+                        self.line_len = 0;
+                        self.all_cr = true;
+                    } else {
+                        self.line_len += 1;
+                        if b != b'\r' {
+                            self.all_cr = false;
+                        }
+                        if self.line_len > MAX_LINE_BYTES {
+                            return Err(Overflow::Line);
+                        }
+                    }
+                    if self.idx > HEAD_SCAN_LIMIT {
+                        return Err(Overflow::Head);
+                    }
+                }
+                Ok(None)
+            }
+        }
+
+        /// The one-shot parser.
+        pub fn read_from(r: &mut impl BufRead, cap: usize) -> Result<Option<Message>, HttpError> {
+            let mut buf = Vec::new();
+            let mut scan = HeadScan::new();
+            loop {
+                let chunk = r.fill_buf()?;
+                if chunk.is_empty() {
+                    if buf.is_empty() {
+                        return Ok(None);
+                    }
+                    break;
+                }
+                let seen = scan.idx;
+                let found = scan.advance(chunk).map_err(Overflow::error)?;
+                let take = found.map_or(chunk.len(), |len| len - seen);
+                buf.extend_from_slice(&chunk[..take]);
+                r.consume(take);
+                if found.is_some() {
+                    break;
+                }
+            }
+            let head = parse_head(&mut buf)?;
+            let len = request_body_len(&buf, &head, cap)?;
+            let start = buf.len();
+            buf.resize(start + len, 0);
+            let mut got = 0;
+            while got < len {
+                let n = r.read(&mut buf[start + got..])?;
+                if n == 0 {
+                    return Err(HttpError::TruncatedBody { expected: len, got });
+                }
+                got += n;
+            }
+            Ok(Some(message(&buf, &head)))
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Resync {
+            None,
+            Body(usize),
+            ToBlankLine { all_cr: bool },
+        }
+
+        pub enum Step {
+            Complete(Message),
+            Incomplete,
+            Failed { error: HttpError, recoverable: bool },
+        }
+
+        /// The incremental parser.
+        pub struct Parser {
+            buf: Vec<u8>,
+            pos: usize,
+            scan: HeadScan,
+            pending: Option<(Head, usize)>,
+            resync: Resync,
+            cap: usize,
+        }
+
+        impl Parser {
+            pub fn new(cap: usize) -> Self {
+                Self {
+                    buf: Vec::new(),
+                    pos: 0,
+                    scan: HeadScan::new(),
+                    pending: None,
+                    resync: Resync::None,
+                    cap,
+                }
+            }
+
+            pub fn feed(&mut self, bytes: &[u8]) {
+                self.compact();
+                self.buf.extend_from_slice(bytes);
+            }
+
+            pub fn buffered(&self) -> usize {
+                self.buf.len() - self.pos
+            }
+
+            pub fn is_clean(&self) -> bool {
+                self.buffered() == 0 && self.resync == Resync::None
+            }
+
+            fn compact(&mut self) {
+                if self.pos == self.buf.len() {
+                    self.buf.clear();
+                    self.pos = 0;
+                } else if self.pos >= 8 * 1024 {
+                    self.buf.drain(..self.pos);
+                    self.pos = 0;
+                }
+            }
+
+            fn run_resync(&mut self) -> bool {
+                match self.resync {
+                    Resync::None => true,
+                    Resync::Body(remaining) => {
+                        let take = remaining.min(self.buffered());
+                        self.pos += take;
+                        if take == remaining {
+                            self.resync = Resync::None;
+                            true
+                        } else {
+                            self.resync = Resync::Body(remaining - take);
+                            false
+                        }
+                    }
+                    Resync::ToBlankLine { mut all_cr } => {
+                        while self.pos < self.buf.len() {
+                            let b = self.buf[self.pos];
+                            self.pos += 1;
+                            match b {
+                                b'\n' if all_cr => {
+                                    self.resync = Resync::None;
+                                    return true;
+                                }
+                                b'\n' => all_cr = true,
+                                b'\r' => {}
+                                _ => all_cr = false,
+                            }
+                        }
+                        self.resync = Resync::ToBlankLine { all_cr };
+                        false
+                    }
+                }
+            }
+
+            fn fail_into(&mut self, resync: Resync) {
+                self.pos += self.scan.idx;
+                self.scan = HeadScan::new();
+                self.pending = None;
+                self.resync = resync;
+                self.compact();
+            }
+
+            pub fn next_request(&mut self) -> Step {
+                if !self.run_resync() {
+                    return Step::Incomplete;
+                }
+                let (head, total) = match self.pending {
+                    Some(pending) => pending,
+                    None => {
+                        let fresh = &self.buf[self.pos + self.scan.idx..];
+                        let head_len = match self.scan.advance(fresh) {
+                            Ok(Some(len)) => len,
+                            Ok(None) => return Step::Incomplete,
+                            Err(overflow) => {
+                                let all_cr = self.scan.all_cr;
+                                self.fail_into(Resync::ToBlankLine { all_cr });
+                                return Step::Failed {
+                                    error: overflow.error(),
+                                    recoverable: true,
+                                };
+                            }
+                        };
+                        let bytes = &mut self.buf[self.pos..self.pos + head_len];
+                        let head = match parse_head(bytes) {
+                            Ok(head) => head,
+                            Err(error) => {
+                                return Step::Failed {
+                                    error,
+                                    recoverable: false,
+                                }
+                            }
+                        };
+                        match request_body_len(bytes, &head, self.cap) {
+                            Ok(len) => (head, head_len + len),
+                            Err(error @ HttpError::BodyTooLarge { len, .. }) => {
+                                self.fail_into(Resync::Body(len));
+                                return Step::Failed {
+                                    error,
+                                    recoverable: true,
+                                };
+                            }
+                            Err(error) => {
+                                return Step::Failed {
+                                    error,
+                                    recoverable: false,
+                                }
+                            }
+                        }
+                    }
+                };
+                if self.buffered() < total {
+                    self.pending = Some((head, total));
+                    return Step::Incomplete;
+                }
+                // The owned copy each request took.
+                let copy = self.buf[self.pos..self.pos + total].to_vec();
+                let msg = message(&copy, &head);
+                self.pos += total;
+                self.scan = HeadScan::new();
+                self.pending = None;
+                self.compact();
+                Step::Complete(msg)
+            }
+        }
+    }
+
+    /// The one-pass framing against the framing it replaced (`reference`),
+    /// fed the same byte streams split at random offsets: the same
+    /// requests (method, path, headers, body, `connection: close`), the
+    /// same errors (text and recoverable flag), and after every step the
+    /// same count of bytes still buffered, so every resync skips the same
+    /// bytes. The one-shot parsers read the same streams whole, through a
+    /// reader whose buffer also splits them.
+    mod framing_differential {
+        use super::super::*;
+        use super::reference;
+        use abr_par::{check, SplitMix64};
+        use std::io::{BufReader, Cursor};
+
+        const CORPUS: &[&[u8]] = &include!("../tests/corpus/malformed.rs");
+
+        #[derive(Debug, PartialEq, Eq)]
+        enum Event {
+            Request(reference::Message),
+            Incomplete,
+            Failed(String, bool),
+        }
+
+        fn message(req: &Request) -> reference::Message {
+            reference::Message {
+                method: req.method().to_string(),
+                path: req.path().to_string(),
+                headers: req
+                    .headers()
+                    .map(|(n, v)| (n.to_string(), v.to_string()))
+                    .collect(),
+                body: req.body().to_vec(),
+                close: req.wants_close(),
+            }
+        }
+
+        /// Every step of the one-pass parser over `wire` fed in the pieces
+        /// `cuts` makes, with the bytes left buffered after it, up to an
+        /// unrecoverable failure; then whether the parser ends clean.
+        fn drive(wire: &[u8], cuts: &[usize], cap: usize) -> (Vec<(Event, usize)>, bool) {
+            let mut p = RequestParser::with_cap(cap);
+            let mut steps = Vec::new();
+            for piece in pieces(wire, cuts) {
+                p.feed(piece);
+                loop {
+                    let (event, done) = match p.next_request() {
+                        ParseStep::Complete(req) => (Event::Request(message(&req)), false),
+                        ParseStep::Incomplete => (Event::Incomplete, true),
+                        ParseStep::Failed { error, recoverable } => {
+                            if !recoverable {
+                                steps.push((Event::Failed(error.to_string(), false), p.buffered()));
+                                return (steps, p.is_clean());
+                            }
+                            (Event::Failed(error.to_string(), true), false)
+                        }
+                    };
+                    steps.push((event, p.buffered()));
+                    if done {
+                        break;
+                    }
+                }
+            }
+            (steps, p.is_clean())
+        }
+
+        /// [`drive`] for the reference parser.
+        fn drive_reference(wire: &[u8], cuts: &[usize], cap: usize) -> (Vec<(Event, usize)>, bool) {
+            let mut p = reference::Parser::new(cap);
+            let mut steps = Vec::new();
+            for piece in pieces(wire, cuts) {
+                p.feed(piece);
+                loop {
+                    let (event, done) = match p.next_request() {
+                        reference::Step::Complete(msg) => (Event::Request(msg), false),
+                        reference::Step::Incomplete => (Event::Incomplete, true),
+                        reference::Step::Failed { error, recoverable } => {
+                            if !recoverable {
+                                steps.push((Event::Failed(error.to_string(), false), p.buffered()));
+                                return (steps, p.is_clean());
+                            }
+                            (Event::Failed(error.to_string(), true), false)
+                        }
+                    };
+                    steps.push((event, p.buffered()));
+                    if done {
+                        break;
+                    }
+                }
+            }
+            (steps, p.is_clean())
+        }
+
+        fn pieces<'w>(wire: &'w [u8], cuts: &[usize]) -> impl Iterator<Item = &'w [u8]> + 'w {
+            let mut bounds: Vec<usize> = cuts.to_vec();
+            bounds.push(wire.len());
+            let mut prev = 0;
+            bounds.into_iter().map(move |cut| {
+                let piece = &wire[prev..cut];
+                prev = cut;
+                piece
+            })
+        }
+
+        /// The one-shot parsers' messages over the whole stream, read
+        /// through a reader with a `chunk`-byte buffer, up to the first
+        /// error or the end.
+        fn one_shot(
+            wire: &[u8],
+            cap: usize,
+            chunk: usize,
+        ) -> (Vec<reference::Message>, Option<String>) {
+            let mut r = BufReader::with_capacity(chunk, Cursor::new(wire));
+            let mut msgs = Vec::new();
+            loop {
+                match Request::read_from_with_cap(&mut r, cap) {
+                    Ok(Some(req)) => msgs.push(message(&req)),
+                    Ok(None) => return (msgs, None),
+                    Err(e) => return (msgs, Some(e.to_string())),
+                }
+            }
+        }
+
+        fn one_shot_reference(
+            wire: &[u8],
+            cap: usize,
+            chunk: usize,
+        ) -> (Vec<reference::Message>, Option<String>) {
+            let mut r = BufReader::with_capacity(chunk, Cursor::new(wire));
+            let mut msgs = Vec::new();
+            loop {
+                match reference::read_from(&mut r, cap) {
+                    Ok(Some(msg)) => msgs.push(msg),
+                    Ok(None) => return (msgs, None),
+                    Err(e) => return (msgs, Some(e.to_string())),
+                }
+            }
+        }
+
+        /// Both parsers, incremental and one-shot, agree on `wire`.
+        fn agree(rng: &mut SplitMix64, wire: &[u8], cap: usize) {
+            let cuts = match rng.below(4) {
+                // Byte at a time.
+                0 if wire.len() <= 4096 => (1..wire.len()).collect(),
+                _ => {
+                    let mut cuts = rng.vec(0..16, |r| r.below(wire.len().max(1)));
+                    cuts.sort_unstable();
+                    cuts
+                }
+            };
+            let got = drive(wire, &cuts, cap);
+            let want = drive_reference(wire, &cuts, cap);
+            assert_eq!(
+                got,
+                want,
+                "stream {:?}, cuts {cuts:?}",
+                wire.escape_ascii().to_string()
+            );
+            let chunk = rng.range(1usize..64) * if rng.next_bool() { 1 } else { 512 };
+            let got = one_shot(wire, cap, chunk);
+            let want = one_shot_reference(wire, cap, chunk);
+            assert_eq!(
+                got,
+                want,
+                "stream {:?}, chunk {chunk}",
+                wire.escape_ascii().to_string()
+            );
+        }
+
+        const EOLS: [&[u8]; 4] = [b"\r\n", b"\n", b"\r\r\n", b"\r\n"];
+
+        fn eol(rng: &mut SplitMix64) -> &'static [u8] {
+            EOLS[rng.below(EOLS.len())]
+        }
+
+        /// Random case for an ASCII name.
+        fn cased(rng: &mut SplitMix64, name: &str) -> Vec<u8> {
+            name.bytes()
+                .map(|b| {
+                    if rng.next_bool() {
+                        b.to_ascii_uppercase()
+                    } else {
+                        b
+                    }
+                })
+                .collect()
+        }
+
+        /// Whitespace of every kind `trim` and `split_whitespace` know, and
+        /// none.
+        const SPACES: [&str; 9] = [
+            "", " ", "  ", "\t", "\x0b", "\x0c", "\u{a0}", "\u{85}", "\u{2003}",
+        ];
+
+        fn space(rng: &mut SplitMix64) -> &'static [u8] {
+            SPACES[rng.below(SPACES.len())].as_bytes()
+        }
+
+        /// One request: a random method, path, headers (`content-length`
+        /// right, missing, duplicated or garbled, `connection` close or
+        /// not, in any case, padded with any whitespace) and body, with
+        /// random line ends.
+        fn request(rng: &mut SplitMix64, wire: &mut Vec<u8>) {
+            let method: &[u8] = [b"GET".as_slice(), b"POST", b"PUT", b"DELETE"][rng.below(4)];
+            let body = rng.vec(0..40, |r| {
+                if r.below(8) == 0 {
+                    r.next_u64() as u8
+                } else {
+                    r.range(b'a'..=b'z')
+                }
+            });
+            wire.extend_from_slice(space(rng));
+            wire.extend_from_slice(method);
+            wire.push(b' ');
+            wire.extend_from_slice(space(rng));
+            wire.extend_from_slice(b"/p");
+            wire.extend(rng.vec(0..8, |r| r.range(b'a'..=b'z')));
+            wire.extend_from_slice(if rng.below(4) == 0 { space(rng) } else { b" " });
+            wire.extend_from_slice(b"HTTP/1.");
+            wire.push(b'0' + rng.below(2) as u8);
+            wire.extend_from_slice(eol(rng));
+            for _ in 0..rng.below(5) {
+                let (name, value): (&str, Vec<u8>) = match rng.below(6) {
+                    0 => (
+                        "connection",
+                        if rng.next_bool() {
+                            b"close".to_vec()
+                        } else {
+                            b" keep-alive ".to_vec()
+                        },
+                    ),
+                    1 => ("connection", b" Close\t".to_vec()),
+                    2 => (
+                        "content-length",
+                        rng.range(0usize..50).to_string().into_bytes(),
+                    ),
+                    3 => (
+                        "content-length",
+                        [b"x".as_slice(), b"-1", b"+3", b" 4 ", b""][rng.below(5)].to_vec(),
+                    ),
+                    _ => ("x-h", rng.vec(0..12, |r| r.range(b' '..=b'~'))),
+                };
+                wire.extend_from_slice(space(rng));
+                wire.extend(cased(rng, name));
+                wire.extend_from_slice(space(rng));
+                wire.push(b':');
+                wire.extend_from_slice(space(rng));
+                wire.extend_from_slice(&value);
+                wire.extend_from_slice(space(rng));
+                wire.extend_from_slice(eol(rng));
+            }
+            if rng.below(4) != 0 {
+                wire.extend(cased(rng, "content-length"));
+                wire.extend_from_slice(format!(": {}", body.len()).as_bytes());
+                wire.extend_from_slice(eol(rng));
+            }
+            // The blank line: any run of `\r` before its `\n`.
+            wire.extend(std::iter::repeat_n(b'\r', rng.below(3)));
+            wire.push(b'\n');
+            wire.extend_from_slice(&body);
+        }
+
+        /// Random edits that land on the bytes framing cares about.
+        fn mutate(rng: &mut SplitMix64, wire: &mut Vec<u8>) {
+            const BYTES: &[u8] = b"\r\n: \t\x0b0x\xff\xc3\x80A";
+            for _ in 0..rng.below(4) {
+                if wire.is_empty() {
+                    return;
+                }
+                let at = rng.below(wire.len());
+                let b = BYTES[rng.below(BYTES.len())];
+                match rng.below(3) {
+                    0 => wire[at] = b,
+                    1 => wire.insert(at, b),
+                    _ => {
+                        wire.remove(at);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn pipelined_and_mutated_streams_frame_alike() {
+            check(600, |rng| {
+                let mut wire = Vec::new();
+                for _ in 0..rng.range(1usize..5) {
+                    request(rng, &mut wire);
+                }
+                if rng.next_bool() {
+                    mutate(rng, &mut wire);
+                }
+                let cap = if rng.below(4) == 0 {
+                    rng.below(30)
+                } else {
+                    MAX_REQUEST_BODY_BYTES
+                };
+                agree(rng, &wire, cap);
+            });
+        }
+
+        /// Lines and heads at and past their caps, runs of `\r` as long as
+        /// a line may be, and a request behind them.
+        #[test]
+        fn oversized_lines_and_heads_frame_alike() {
+            check(150, |rng| {
+                let mut wire = Vec::new();
+                let fill = |rng: &mut SplitMix64, n: usize| -> Vec<u8> {
+                    let b = [b'x', b'\r', b'\xe2'][rng.below(3)];
+                    let mut v = vec![b; n];
+                    if rng.next_bool() && n > 0 {
+                        let at = rng.below(n);
+                        v[at] = b'x';
+                    }
+                    v
+                };
+                let near = |rng: &mut SplitMix64, n: usize| n + rng.below(24) - 12;
+                match rng.below(4) {
+                    0 => {
+                        // An over-long request line.
+                        wire.extend_from_slice(b"GET /");
+                        let n = near(rng, MAX_LINE_BYTES - 16);
+                        wire.extend(fill(rng, n));
+                        wire.extend_from_slice(b" HTTP/1.1");
+                        wire.extend_from_slice(eol(rng));
+                    }
+                    1 => {
+                        // A header line about the line cap.
+                        wire.extend_from_slice(b"GET / HTTP/1.1\r\n");
+                        let n = near(rng, MAX_LINE_BYTES - 4);
+                        wire.extend_from_slice(b"x: ");
+                        wire.extend(fill(rng, n));
+                        wire.extend_from_slice(eol(rng));
+                    }
+                    2 => {
+                        // A header block about the header and head caps.
+                        wire.extend_from_slice(b"GET / HTTP/1.1\r\n");
+                        let lines = rng.range(2usize..5);
+                        let head = MAX_HEADER_BYTES + rng.below(2) * MAX_LINE_BYTES;
+                        let each = near(rng, head / lines);
+                        for _ in 0..lines {
+                            wire.extend_from_slice(b"x-a:");
+                            wire.extend(fill(rng, each.min(MAX_LINE_BYTES - 8)));
+                            wire.extend_from_slice(eol(rng));
+                        }
+                    }
+                    _ => {
+                        // A blank line of `\r`s about the line cap.
+                        wire.extend_from_slice(b"GET / HTTP/1.1\r\nx: y\r\n");
+                        let n = near(rng, MAX_LINE_BYTES);
+                        wire.extend(std::iter::repeat_n(b'\r', n));
+                    }
+                }
+                wire.extend(std::iter::repeat_n(b'\r', rng.below(3)));
+                wire.push(b'\n');
+                request(rng, &mut wire);
+                agree(rng, &wire, MAX_REQUEST_BODY_BYTES);
+            });
+        }
+
+        /// Caps that meet on one byte: a line past its cap starting where
+        /// its cap byte is the head's, give or take a few, or a line whose
+        /// `\n` is the head's cap byte, give or take one; then a blank
+        /// line or not, and a request.
+        #[test]
+        fn caps_meeting_on_one_byte_frame_alike() {
+            check(120, |rng| {
+                let mut wire = b"GET / HTTP/1.1\r\n".to_vec();
+                let long = rng.next_bool();
+                let target = if long {
+                    HEAD_SCAN_LIMIT - MAX_LINE_BYTES + rng.below(7) - 3
+                } else {
+                    HEAD_SCAN_LIMIT - rng.range(2usize..40)
+                };
+                // Header lines of at most 4,000 bytes up to `target`.
+                while wire.len() < target {
+                    let room = target - wire.len();
+                    let n = if room >= 8004 {
+                        4000
+                    } else if room > 4000 {
+                        room / 2
+                    } else {
+                        room
+                    };
+                    wire.extend_from_slice(b"x:");
+                    wire.extend(std::iter::repeat_n(b'v', n - 4));
+                    wire.extend_from_slice(b"\r\n");
+                }
+                let fill = [b'x', b'\r'][rng.below(2)];
+                if long {
+                    let n = MAX_LINE_BYTES + rng.range(1usize..10);
+                    wire.extend(std::iter::repeat_n(fill, n));
+                } else {
+                    let n = HEAD_SCAN_LIMIT - target + rng.below(3) - 1;
+                    wire.push(b'x');
+                    wire.extend(std::iter::repeat_n(fill, n - 1));
+                }
+                wire.extend_from_slice([b"\n".as_slice(), b"\r\n", b"x\n", b"\r"][rng.below(4)]);
+                wire.extend_from_slice([b"\n".as_slice(), b"\r\n", b"x\r\n\r\n"][rng.below(3)]);
+                request(rng, &mut wire);
+                agree(rng, &wire, MAX_REQUEST_BODY_BYTES);
+            });
+        }
+
+        /// The malformed corpus, behind a good request or not, and bodies
+        /// over a small cap, with a request behind them.
+        #[test]
+        fn corpus_and_oversized_bodies_frame_alike() {
+            check(300, |rng| {
+                let mut wire = Vec::new();
+                if rng.next_bool() {
+                    request(rng, &mut wire);
+                }
+                let cap = if rng.next_bool() {
+                    wire.extend_from_slice(CORPUS[rng.below(CORPUS.len())]);
+                    MAX_REQUEST_BODY_BYTES
+                } else {
+                    let len = rng.range(0usize..80);
+                    wire.extend_from_slice(
+                        format!("POST /big HTTP/1.1\r\ncontent-length: {len}\r\n\r\n").as_bytes(),
+                    );
+                    wire.extend(std::iter::repeat_n(b'b', len));
+                    rng.range(0usize..40)
+                };
+                request(rng, &mut wire);
+                agree(rng, &wire, cap);
+            });
         }
     }
 

@@ -14,7 +14,7 @@
 //!   handoff a connection is touched by exactly one thread — no
 //!   per-connection locks anywhere.
 //! * **A per-connection state machine**: an incremental
-//!   [`RequestParser`] absorbs whatever bytes each readable event
+//!   [`RequestParser`] takes in whatever bytes each readable event
 //!   yields (partial heads, split bodies, pipelined keep-alive bursts),
 //!   complete requests dispatch into the shared [`Service`], and responses
 //!   accumulate in an output buffer drained on writability.
@@ -22,7 +22,12 @@
 //!   connection closed; an over-long line or header block is answered
 //!   `400` and a body over [`ServerConfig::body_cap`] `413`, and in both
 //!   cases the parser skips the refused message and the connection keeps
-//!   serving what follows it.
+//!   serving what follows it. A request whose handler panics is answered
+//!   `500`; its connection and the loop serve on
+//!   ([`LoopStats::handler_panics`] counts them).
+//! * **No copies on the way through**: each read lands in the
+//!   connection's parse buffer, a parsed request borrows its bytes there,
+//!   and its response is written straight into the output buffer.
 //! * **Backpressure**: a connection whose peer stops reading accumulates
 //!   response bytes; past a high-water mark the loop stops *reading*
 //!   from it (interest drops `EPOLLIN`) until the kernel drains the
@@ -46,6 +51,7 @@ use crate::poll::{self, Epoll, Event, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOL
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::{AsRawFd, RawFd};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -109,6 +115,9 @@ pub struct LoopStats {
     pub short_writes: AtomicU64,
     /// Connections currently owned by this loop.
     pub open_conns: AtomicU64,
+    /// Requests whose [`Service::handle`] panicked; each was answered
+    /// `500` and the loop served on.
+    pub handler_panics: AtomicU64,
 }
 
 /// A running server; dropping it shuts it down.
@@ -449,19 +458,24 @@ impl<S: Service> LoopWorker<S> {
         if ev.writable() && !self.flush(epoll, slot) {
             return; // closed while flushing
         }
-        if (ev.readable() || ev.readiness() & EPOLLRDHUP != 0) && !draining {
+        let closing = self.conns[slot]
+            .as_ref()
+            .is_some_and(|c| c.close_after_flush);
+        if (ev.readable() || ev.readiness() & EPOLLRDHUP != 0) && !draining && !closing {
             self.read_ready(epoll, slot);
         }
     }
 
     fn read_ready(&mut self, epoll: &Epoll, slot: usize) {
-        let mut buf = [0u8; 16 * 1024];
         loop {
             let conn = match self.conns[slot].as_mut() {
                 Some(c) => c,
                 None => return,
             };
-            match poll::read(conn.fd, &mut buf) {
+            // The read lands straight in the parser's buffer.
+            let spare = conn.parser.spare();
+            let room = spare.len();
+            match poll::read(conn.fd, spare) {
                 Ok(Some(0)) => {
                     // Clean EOF. Anything still owed (buffered responses)
                     // is flushed first; a half-received request is
@@ -476,7 +490,7 @@ impl<S: Service> LoopWorker<S> {
                 }
                 Ok(Some(n)) => {
                     conn.last_active = Instant::now();
-                    conn.parser.feed(&buf[..n]);
+                    conn.parser.commit(n);
                     if !self.process_requests(slot) {
                         // `connection: close` or a poisoned stream: flush
                         // what we owe and close.
@@ -487,7 +501,7 @@ impl<S: Service> LoopWorker<S> {
                     if conn.out.len() - conn.out_pos > HIGH_WATER {
                         break; // backpressure: stop reading, go flush
                     }
-                    if n < buf.len() {
+                    if n < room {
                         break; // kernel buffer drained
                     }
                 }
@@ -509,25 +523,34 @@ impl<S: Service> LoopWorker<S> {
         self.flush(epoll, slot);
     }
 
-    /// Drains every complete pipelined request through the service.
-    /// Returns `false` when the connection should close after flushing
-    /// (close requested or the request stream is unrecoverable).
+    /// Drains every complete pipelined request through the service, each
+    /// answered straight into the connection's output buffer. Returns
+    /// `false` when the connection should close after flushing (close
+    /// requested or the request stream is unrecoverable).
     fn process_requests(&mut self, slot: usize) -> bool {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return false;
+        };
+        let Conn {
+            parser,
+            out,
+            close_after_flush,
+            ..
+        } = conn;
         loop {
-            let step = match self.conns[slot].as_mut() {
-                Some(c) => c.parser.next_request(),
-                None => return false,
-            };
-            match step {
+            match parser.next_request() {
                 ParseStep::Complete(req) => {
-                    let close = req
-                        .header("connection")
-                        .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-                    let resp = self.service.handle(&req);
-                    let conn = self.conns[slot].as_mut().expect("conn alive");
-                    let _ = resp.write_to(&mut conn.out);
-                    if close {
-                        conn.close_after_flush = true;
+                    // A panicking handler costs its request a 500, not the
+                    // loop: the connection and every other one live on.
+                    let handled =
+                        panic::catch_unwind(AssertUnwindSafe(|| self.service.handle(&req)));
+                    let resp = handled.unwrap_or_else(|_| {
+                        self.stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+                        Response::new(500, b"internal server error", "text/plain")
+                    });
+                    let _ = resp.write_to(out);
+                    if req.wants_close() {
+                        *close_after_flush = true;
                         return false;
                     }
                 }
@@ -540,10 +563,9 @@ impl<S: Service> LoopWorker<S> {
                         HttpError::Malformed(what) => Response::bad_request(what),
                         other => Response::bad_request(&other.to_string()),
                     };
-                    let conn = self.conns[slot].as_mut().expect("conn alive");
-                    let _ = resp.write_to(&mut conn.out);
+                    let _ = resp.write_to(out);
                     if !recoverable {
-                        conn.close_after_flush = true;
+                        *close_after_flush = true;
                         return false;
                     }
                     // Recoverable (size caps): the parser already
@@ -600,8 +622,9 @@ impl<S: Service> LoopWorker<S> {
     }
 
     /// Recomputes the epoll interest mask from connection state:
-    /// `EPOLLIN` unless paused by backpressure, `EPOLLOUT` while output
-    /// is pending, `EPOLLRDHUP` always.
+    /// `EPOLLIN` unless paused by backpressure or closing (nothing more is
+    /// read once a close is due), `EPOLLOUT` while output is pending,
+    /// `EPOLLRDHUP` always.
     fn update_interest(&mut self, epoll: &Epoll, slot: usize) {
         let conn = match self.conns[slot].as_mut() {
             Some(c) => c,
@@ -616,7 +639,7 @@ impl<S: Service> LoopWorker<S> {
             conn.paused = true;
         }
         let mut want = EPOLLRDHUP;
-        if !conn.paused {
+        if !conn.paused && !conn.close_after_flush {
             want |= EPOLLIN;
         }
         if pending > 0 {
@@ -782,6 +805,65 @@ mod tests {
             let mut c = HttpClient::new(TcpStream::connect(addr).unwrap());
             c.get("/manifest.mpd").is_err()
         });
+    }
+
+    /// Panics on `/boom`; answers every other path with the path.
+    struct Fragile;
+
+    impl Service for Fragile {
+        fn handle(&self, req: &Request) -> Response {
+            assert_ne!(req.path(), "/boom", "a handler bug");
+            Response::ok(req.path().as_bytes().to_vec(), "text/plain")
+        }
+    }
+
+    #[test]
+    fn a_handler_panic_costs_one_500_not_the_loop() {
+        let server = Server::spawn(
+            Fragile,
+            ServerConfig {
+                loops: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        // Pipelined in one write: the request after the panic is read from
+        // the same buffer and must still be answered, in order.
+        let mut wire = Vec::new();
+        for path in ["/a", "/boom", "/b"] {
+            Request::get(path).write_to(&mut wire).unwrap();
+        }
+        stream.write_all(&wire).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let answers: Vec<(u16, Vec<u8>)> = (0..3)
+            .map(|_| {
+                let resp = Response::read_from(&mut reader).unwrap();
+                (resp.status, resp.body.to_vec())
+            })
+            .collect();
+        assert_eq!(
+            answers,
+            [
+                (200, b"/a".to_vec()),
+                (500, b"internal server error".to_vec()),
+                (200, b"/b".to_vec()),
+            ]
+        );
+        // The only loop still serves that connection and a new one.
+        stream.write_all(&manifest_request()).unwrap();
+        assert_eq!(Response::read_from(&mut reader).unwrap().status, 200);
+        let mut other = HttpClient::new(TcpStream::connect(server.addr()).unwrap());
+        assert_eq!(other.get("/c").unwrap().body.as_ref(), b"/c");
+        assert_eq!(
+            server.loop_stats()[0]
+                .handler_panics
+                .load(Ordering::Relaxed),
+            1
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::io::Cursor;
 
 /// Reads the full message sequence with the one-shot parser: complete
 /// requests until EOF or the first error.
-fn one_shot_requests(wire: &[u8]) -> (Vec<Request>, Option<String>) {
+fn one_shot_requests(wire: &[u8]) -> (Vec<Request<'static>>, Option<String>) {
     let mut cur = Cursor::new(wire);
     let mut msgs = Vec::new();
     loop {
@@ -27,9 +27,9 @@ fn one_shot_requests(wire: &[u8]) -> (Vec<Request>, Option<String>) {
 }
 
 /// Feeds `wire` to the incremental parser in the given fragments and
-/// drains everything it produces: complete requests until the first
-/// failure (or until input runs out).
-fn incremental_requests(wire: &[u8], cuts: &[usize]) -> (Vec<Request>, Option<String>) {
+/// drains everything it produces: complete requests (copied out of the
+/// parser they borrow) until the first failure (or until input runs out).
+fn incremental_requests(wire: &[u8], cuts: &[usize]) -> (Vec<Request<'static>>, Option<String>) {
     let mut p = RequestParser::new();
     let mut msgs = Vec::new();
     let mut err = None;
@@ -39,7 +39,7 @@ fn incremental_requests(wire: &[u8], cuts: &[usize]) -> (Vec<Request>, Option<St
         prev = cut;
         loop {
             match p.next_request() {
-                ParseStep::Complete(req) => msgs.push(req),
+                ParseStep::Complete(req) => msgs.push(req.into_owned()),
                 ParseStep::Incomplete => break,
                 ParseStep::Failed { error, .. } => {
                     if err.is_none() {
@@ -53,7 +53,7 @@ fn incremental_requests(wire: &[u8], cuts: &[usize]) -> (Vec<Request>, Option<St
     p.feed(&wire[prev..]);
     loop {
         match p.next_request() {
-            ParseStep::Complete(req) => msgs.push(req),
+            ParseStep::Complete(req) => msgs.push(req.into_owned()),
             ParseStep::Incomplete => break,
             ParseStep::Failed { error, .. } => {
                 if err.is_none() {
@@ -77,15 +77,7 @@ fn random_cuts(rng: &mut SplitMix64, len: usize, max: usize) -> Vec<usize> {
 /// The malformed inputs the one-shot tests already pin — every one has a
 /// complete head, so the incremental parser must report the *identical*
 /// error regardless of how the bytes are split.
-const MALFORMED_CORPUS: &[&[u8]] = &[
-    b"NOT-HTTP-AT-ALL\r\n\r\n",
-    b"GET / SPDY/9\r\n\r\n",
-    b"POST /x HTTP/1.1\r\n\r\n",
-    b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n",
-    b"POST /x HTTP/1.1\r\ncontent-length: banana\r\n\r\n",
-    b"GARBAGE\r\n\r\n",
-    b"\r\nGET / HTTP/1.1\r\n\r\n",
-];
+const MALFORMED_CORPUS: &[&[u8]] = &include!("corpus/malformed.rs");
 
 /// The characters of a generated request path.
 const PATH_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789/";
@@ -164,7 +156,7 @@ fn oversized_body_survives_at_any_split() {
             prev = cut;
             loop {
                 match p.next_request() {
-                    ParseStep::Complete(req) => after = Some(req),
+                    ParseStep::Complete(req) => after = Some(req.into_owned()),
                     ParseStep::Incomplete => break,
                     ParseStep::Failed { error, recoverable } => {
                         assert!(matches!(error, HttpError::BodyTooLarge { .. }), "{}", error);
@@ -206,7 +198,7 @@ fn overlong_line_survives_at_any_split() {
             prev = cut;
             loop {
                 match p.next_request() {
-                    ParseStep::Complete(req) => parsed.push(req),
+                    ParseStep::Complete(req) => parsed.push(req.into_owned()),
                     ParseStep::Incomplete => break,
                     ParseStep::Failed { error, recoverable } => {
                         assert!(

@@ -9,6 +9,15 @@ use crate::proto::{
 };
 use abr_net::http::{HttpClient, HttpError};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
+
+/// How long a [`ServeClient`] waits for its socket to take a request or
+/// yield a reply byte before it fails with a timeout. A loop answers a
+/// decision in microseconds and generates even an 18-level FastMPC table
+/// well within a second, so a client still waiting after this long has
+/// met a dead or stalled loop, and gets an error instead of blocking
+/// forever.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Client-side failures talking to the decision server.
 #[derive(Debug)]
@@ -45,10 +54,17 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to a decision server.
+    /// Connects to a decision server. Reads and writes on the connection
+    /// time out after [`IO_TIMEOUT`].
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
+        Self::connect_with_timeout(addr, IO_TIMEOUT)
+    }
+
+    fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
         Ok(Self { http: HttpClient::new(stream) })
     }
 
@@ -96,5 +112,36 @@ impl ServeClient {
     /// Retires a session.
     pub fn close_session(&mut self, sid: u64) -> Result<(), ServeError> {
         self.post_ok("/close", format!("sid {sid}\n")).map(|_| ())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    #[test]
+    fn a_server_that_never_answers_times_out_instead_of_hanging() {
+        // Accepts, holds the connection open, and never writes a byte.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let holder = std::thread::spawn(move || listener.accept().map(|(stream, _)| stream));
+        // The path `connect` takes, with a timeout short enough to wait out.
+        let mut client =
+            ServeClient::connect_with_timeout(addr, Duration::from_millis(200)).unwrap();
+        let started = Instant::now();
+        let err = client.close_session(7).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Http(HttpError::Io(e))
+                if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)),
+            "{err}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{:?}",
+            started.elapsed()
+        );
+        drop(holder.join().unwrap());
     }
 }

@@ -26,6 +26,7 @@ use abr_fastmpc::{TableConfig, TableHandle, TableStore};
 use abr_net::mpd::{self, MpdError};
 use abr_sim::{RobustBound, SimConfig};
 use abr_video::{LiveSchedule, QoeWeights, QualityFn, Video};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The largest MPC search a session may register, in plans per decision:
@@ -549,6 +550,36 @@ impl DecisionRequest {
     }
 }
 
+/// `level N\n` for every level a table can store (`u8`), as bytes and
+/// length: the static bodies of [`DecisionReply::body`].
+static LEVEL_LINES: [([u8; 10], u8); 256] = level_lines();
+
+const fn level_lines() -> [([u8; 10], u8); 256] {
+    let mut lines = [([0u8; 10], 0u8); 256];
+    let mut level = 0;
+    while level < lines.len() {
+        let line = &mut lines[level].0;
+        let mut len = 0;
+        while len < b"level ".len() {
+            line[len] = b"level "[len];
+            len += 1;
+        }
+        let mut place = 100;
+        while place > 1 && level < place {
+            place /= 10;
+        }
+        while place > 0 {
+            line[len] = b'0' + (level / place % 10) as u8;
+            len += 1;
+            place /= 10;
+        }
+        line[len] = b'\n';
+        lines[level].1 = len as u8 + 1;
+        level += 1;
+    }
+    lines
+}
+
 /// One `POST /decision` response.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionReply {
@@ -564,6 +595,17 @@ impl DecisionReply {
         match self.startup_wait_secs {
             Some(w) => format!("level {}\nstartup_wait {w}\n", self.level),
             None => format!("level {}\n", self.level),
+        }
+    }
+
+    /// The encoded body as bytes. The common reply, a level with no
+    /// startup wait, is borrowed from a table laid out at compile time, so
+    /// answering it allocates nothing; any other is rendered by
+    /// [`encode`](Self::encode).
+    pub fn body(&self) -> Cow<'static, [u8]> {
+        match (self.startup_wait_secs, LEVEL_LINES.get(self.level)) {
+            (None, Some((line, len))) => Cow::Borrowed(&line[..usize::from(*len)]),
+            _ => Cow::Owned(self.encode().into_bytes()),
         }
     }
 
@@ -943,6 +985,26 @@ mod tests {
             DecisionReply::decode("level 2\n").unwrap(),
             DecisionReply { level: 2, startup_wait_secs: None }
         );
+    }
+
+    #[test]
+    fn reply_bodies_are_the_encoded_replies() {
+        for level in 0..300 {
+            for startup_wait_secs in [None, Some(0.0), Some(2.5)] {
+                let reply = DecisionReply {
+                    level,
+                    startup_wait_secs,
+                };
+                let body = reply.body();
+                assert_eq!(body.as_ref(), reply.encode().as_bytes(), "{reply:?}");
+                let borrowed = matches!(body, Cow::Borrowed(_));
+                assert_eq!(
+                    borrowed,
+                    startup_wait_secs.is_none() && level < 256,
+                    "{reply:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -73,8 +73,9 @@ impl AbrService {
     /// Routes one request to a response.
     ///
     /// Bodies are decoded where they lie (`body_text` borrows valid
-    /// UTF-8), and replies carry no header strings, so a decision costs
-    /// the allocations of its reply body and nothing else.
+    /// UTF-8), replies carry no header strings, and a decision's reply body
+    /// is static ([`DecisionReply::body`](crate::DecisionReply::body)), so
+    /// a FastMPC decision allocates nothing.
     pub fn handle(&self, req: &Request) -> Response {
         let body = || body_text(req.body());
         match (req.method(), req.path()) {
@@ -127,7 +128,7 @@ impl AbrService {
                         if let Some(latency_secs) = live_latency {
                             self.metrics.record_live_latency(latency_secs);
                         }
-                        Response::ok(reply.encode().into_bytes(), "text/plain")
+                        Response::ok(reply.body(), "text/plain")
                     }
                     Ok((_, Err(e), _)) => self.reject(decide_error_response(&e)),
                     Err(e) => self.reject(decide_error_response(&e)),

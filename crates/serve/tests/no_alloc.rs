@@ -1,18 +1,17 @@
 //! Pins two allocation budgets, each through the three stages the event
-//! loop runs. After warm-up, one `POST /decision` costs:
+//! loop runs. After warm-up, one FastMPC `POST /decision` costs none:
 //!
-//! * `RequestParser::next_request`: at most one allocation — the single
-//!   buffer the parsed `Request` owns;
-//! * `AbrService::handle`: at most one — the reply body, which moves into
-//!   the response as it is;
-//! * `Response::write_to`: none — the response head carries no header
-//!   strings and is written straight into the connection's output buffer.
+//! * `RequestParser::next_request`: the parsed `Request` borrows the
+//!   parser's buffer, which is reused across requests;
+//! * `AbrService::handle`: the reply body is a static `level N` line;
+//! * `Response::write_to`: the response head carries no header strings and
+//!   is written straight into the connection's output buffer.
 //!
 //! A repeat `POST /session` of a manifest the service has interned (its
-//! FastMPC table already generated) costs one allocation to parse, at most
-//! seven to handle — the session's own state and the reply; the body is
-//! decoded where it lies, in one pass, and nothing is sized by the video —
-//! and none to encode.
+//! FastMPC table already generated) costs none to parse, at most seven to
+//! handle — the session's own state and the reply; the body is decoded
+//! where it lies, in one pass, and nothing is sized by the video — and none
+//! to encode.
 //!
 //! Lives in its own integration-test binary so the counting global
 //! allocator cannot interfere with any other test.
@@ -125,11 +124,8 @@ fn decision_hot_path_stays_within_its_allocation_budget() {
         }
     }
     for &(chunk, parse, handle, encode) in &budgets {
-        assert!(parse <= 1, "chunk {chunk}: parse allocated {parse} times");
-        assert!(
-            handle <= 1,
-            "chunk {chunk}: handle allocated {handle} times"
-        );
+        assert_eq!(parse, 0, "chunk {chunk}: parse allocated {parse} times");
+        assert_eq!(handle, 0, "chunk {chunk}: handle allocated {handle} times");
         assert_eq!(encode, 0, "chunk {chunk}: encode allocated {encode} times");
     }
     assert!(
@@ -179,7 +175,7 @@ fn repeat_registration_stays_within_its_allocation_budget() {
         }
     }
     for &(round, parse, handle, encode) in &budgets {
-        assert!(parse <= 1, "round {round}: parse allocated {parse} times");
+        assert_eq!(parse, 0, "round {round}: parse allocated {parse} times");
         assert!(
             handle <= REGISTRATION_HANDLE_BUDGET,
             "round {round}: handle allocated {handle} times"

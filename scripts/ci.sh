@@ -132,9 +132,13 @@ echo "== differential gate: indexed trace kernels vs naive oracles =="
 # naive scans (seeded property loops in abr-trace), the session engine's steady
 # state must stay off the allocator (counting-allocator test in abr-sim),
 # a served decision and a repeat registration of an interned manifest
-# must stay within their allocation budgets (decision: parse 1, handle 1,
-# encode 0; registration: parse 1, handle 7, encode 0; counting-allocator
-# test in abr-serve), every wire session must replay bit-identically in
+# must stay within their allocation budgets (a FastMPC decision: parse 0,
+# handle 0, encode 0; registration: parse 0, handle 7, encode 0;
+# counting-allocator test in abr-serve), the one-pass HTTP framing must
+# frame every seeded stream (valid, pipelined, mutated, oversized, the
+# malformed corpus, split anywhere) exactly as the framing it replaced,
+# kept as a test oracle, and a handler panic must cost one 500 and not the
+# loop (abr-net), every wire session must replay bit-identically in
 # process (abr-serve's differential suite: the load generator's blocking
 # clients run 512 FastMPC sessions over a pool of 32 connections, then
 # every backend and wire predictor), every served decision must match its
@@ -159,6 +163,9 @@ cargo test --locked --offline -p abr-core -q --lib -- --exact \
   mpc::tests::row_sweep_work_stays_under_its_ceiling_and_below_cold_solves
 cargo test --locked --offline -p abr-core -q --test no_alloc
 cargo test --locked --offline -p abr-fastmpc -q --test generation_equivalence
+cargo test --locked --offline -p abr-net -q --lib -- \
+  http::tests::framing_differential:: \
+  server::tests::a_handler_panic_costs_one_500_not_the_loop
 cargo test --locked --offline -p abr-trace -q
 cargo test --locked --offline -p abr-sim -q --test no_alloc
 cargo test --locked --offline -p abr-serve -q --test no_alloc
